@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import kernels, moser, probe, viscosity
-from .errors import CmaLabError, ConfigError, NonConverged
+from .errors import CmaLabError, ConfigError, NonConverged, NotPlurisubharmonic
 from .families import SolutionFamily, eval_analytic_hessian, eval_rhs, verify_identity
 from .grid import (GridDomain, GridField, complex_hessian_fd, field_to_csv,
                    sample)
@@ -186,8 +186,11 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
         out = newton_solve(prob, cfg)
     except NonConverged as exc:
         return _fail(out_dir, "newton residual below tolerance",
-                     {"final_residual": exc.args[0]["final_residual"],
-                      "iterations": exc.args[0]["iterations"]})
+                     {"final_residual": exc.result["final_residual"],
+                      "iterations": exc.result["iterations"]})
+    except NotPlurisubharmonic as exc:
+        return _fail(out_dir, "finite-difference complex Hessian positive "
+                     "definite at every iterate", {"message": str(exc)})
     sol = out["solution"]
     _atomic_write(os.path.join(out_dir, "solution.csv"), field_to_csv(sol))
     report = {
@@ -204,13 +207,10 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
 
 def _cmd_probe(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
-    report = probe.RegularityReport(family=fam)
     rows = []
     center = np.zeros(2 * fam.dim)
     radii = np.logspace(-4, -1, 10)
     fit = probe.holder_fit(fam, center, radii)
-    report.fitted_alpha = fit["alpha"]
-    report.alpha_stderr = fit["stderr"]
     rows.append(("holder_alpha", "", fit["alpha"]))
     p_list = settings.get("p_list", [1.0, 3.0])
     scan = probe.w2p_divergence_scan(
@@ -219,23 +219,22 @@ def _cmd_probe(settings: _Settings, out_dir: str, seed: int) -> int:
         use_laplacian=bool(settings.get("use_laplacian", fam.kind == "blocki")),
         growth=float(settings.get("growth", math.sqrt(2.0))),
         refinements=int(settings.get("refinements", 3)))
-    report.w2p_scan = [(e.p, e.slope, e.verdict) for e in scan]
     for e in scan:
         rows.append(("w2p_slope", e.p, e.slope))
+    lip = []
     if fam.kind == "pogorelov2":
         eps_list = settings.get("eps_list", [1 / 16, 1 / 64, 1 / 256, 1 / 1024])
         lip = probe.rhs_lipschitz_scaling(eps_list)
-        report.lip_F_scaling = lip
         for eps, sup in lip:
             rows.append(("lip_sup_gradient", eps, sup))
-    out_json = {
+    report = {
         "family": fam.to_dict(),
-        "fitted_alpha": report.fitted_alpha,
-        "alpha_stderr": report.alpha_stderr,
-        "w2p_scan": report.w2p_scan,
-        "lip_F_scaling": report.lip_F_scaling,
+        "fitted_alpha": fit["alpha"],
+        "alpha_stderr": fit["stderr"],
+        "w2p_scan": [(e.p, e.slope, e.verdict) for e in scan],
+        "lip_F_scaling": lip,
     }
-    _write_json(os.path.join(out_dir, "probe.json"), out_json)
+    _write_json(os.path.join(out_dir, "probe.json"), report)
     _write_csv(os.path.join(out_dir, "probe.csv"),
                ("measurement", "parameter", "value"), rows)
     return 0
@@ -244,8 +243,7 @@ def _cmd_probe(settings: _Settings, out_dir: str, seed: int) -> int:
 def _cmd_moser(settings: _Settings, out_dir: str, seed: int) -> int:
     params = moser.MoserParams(
         n=int(settings.get("n", 2)), a=float(settings.get("a", 1.0)),
-        R=float(settings.get("R", 1.0)), r=float(settings.get("r", 0.5)),
-        Lambda=float(settings.get("Lambda", 1.0)))
+        R=float(settings.get("R", 1.0)), r=float(settings.get("r", 0.5)))
     C = float(settings.get("C", 1.0))
     k_max = int(settings.get("kmax", 60))
     sums = moser.log_a_partial_sums(params, k_max, C)

@@ -13,6 +13,11 @@ class NotPositiveDefinite(CmaLabError):
     """A positive-definite matrix was required."""
 
 
+class IdentityViolated(CmaLabError):
+    """A computed value breaks an identity that holds in exact arithmetic,
+    for example from a non-finite input or an overflow."""
+
+
 class DimensionMismatch(CmaLabError):
     """Point dimension does not match the object's dimension."""
 

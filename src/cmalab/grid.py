@@ -51,9 +51,7 @@ class GridDomain:
     """Box around `center` with per-axis half widths and node counts.
 
     `excluded_tube_radius` removes a tube around the singular set
-    {z over singular_axes = 0} from all norm integrals; `ball_radius`,
-    when set, additionally excludes the exterior of the ball around the
-    center (ball-shaped domains on a box grid).
+    {z over singular_axes = 0} from all norm integrals.
     """
 
     center: np.ndarray
@@ -61,7 +59,6 @@ class GridDomain:
     points_per_axis: tuple
     excluded_tube_radius: float = 0.0
     singular_axes: tuple = None
-    ball_radius: float = None
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
@@ -134,24 +131,6 @@ class GridDomain:
                 sl[a] = slice(None)
                 r2 = r2 + (coords[tuple(sl)]) ** 2
             mask |= r2 < self.excluded_tube_radius**2
-        if self.ball_radius is not None:
-            r2 = np.zeros(self.shape)
-            for a in range(self.center.size):
-                coords = self.axis_coords(a) - self.center[a]
-                sl = [None] * len(self.shape)
-                sl[a] = slice(None)
-                r2 = r2 + (coords[tuple(sl)]) ** 2
-            mask |= r2 > self.ball_radius**2
-        return mask
-
-    def interior_mask(self) -> np.ndarray:
-        mask = np.ones(self.shape, dtype=bool)
-        for a in range(len(self.shape)):
-            sl = [slice(None)] * len(self.shape)
-            sl[a] = 0
-            mask[tuple(sl)] = False
-            sl[a] = -1
-            mask[tuple(sl)] = False
         return mask
 
 
@@ -205,20 +184,24 @@ def sample(domain: GridDomain, f) -> GridField:
 # ---------------------------------------------------------------------------
 # stencils
 
-def _second_diff_at(values, idx, axis, h):
-    up = list(idx)
-    dn = list(idx)
-    up[axis] += 1
-    dn[axis] -= 1
-    return (values[tuple(up)] - 2.0 * values[tuple(idx)] + values[tuple(dn)]) / (h * h)
+def _interior_view(u, shift):
+    """u over the interior nodes displaced by shift, a map axis -> offset."""
+    return u[tuple(slice(1 + shift.get(a, 0), s - 1 + shift.get(a, 0))
+                   for a, s in enumerate(u.shape))]
 
 
-def _cross_diff_at(values, idx, ax1, ax2, h1, h2):
-    pp = list(idx); pp[ax1] += 1; pp[ax2] += 1
-    pm = list(idx); pm[ax1] += 1; pm[ax2] -= 1
-    mp = list(idx); mp[ax1] -= 1; mp[ax2] += 1
-    mm = list(idx); mm[ax1] -= 1; mm[ax2] -= 1
-    return (values[tuple(pp)] - values[tuple(pm)] - values[tuple(mp)] + values[tuple(mm)]) / (4.0 * h1 * h2)
+def _second_diff(u, axis, h):
+    """Central second difference along axis, over the interior of u."""
+    return (_interior_view(u, {axis: 1}) - 2.0 * _interior_view(u, {})
+            + _interior_view(u, {axis: -1})) / (h * h)
+
+
+def _cross_diff(u, ax1, ax2, h1, h2):
+    """Four-point mixed difference in axes ax1 != ax2, over the interior of u."""
+    def view(o1, o2):
+        return _interior_view(u, {ax1: o1, ax2: o2})
+
+    return (view(1, 1) - view(1, -1) - view(-1, 1) + view(-1, -1)) / (4.0 * h1 * h2)
 
 
 def real_hessian_fd(u: GridField, at) -> np.ndarray:
@@ -227,13 +210,14 @@ def real_hessian_fd(u: GridField, at) -> np.ndarray:
     shape = u.domain.shape
     if any(i < 1 or i > shape[a] - 2 for a, i in enumerate(idx)):
         raise BoundaryNode(f"node {idx} too close to the boundary")
+    block = u.values[tuple(slice(i - 1, i + 2) for i in idx)]
     h = u.domain.spacings
     m = len(shape)
     H = np.empty((m, m))
     for a in range(m):
-        H[a, a] = _second_diff_at(u.values, idx, a, h[a])
+        H[a, a] = _second_diff(block, a, h[a]).item()
         for b in range(a + 1, m):
-            H[a, b] = H[b, a] = _cross_diff_at(u.values, idx, a, b, h[a], h[b])
+            H[a, b] = H[b, a] = _cross_diff(block, a, b, h[a], h[b]).item()
     return H
 
 
@@ -265,16 +249,13 @@ def complex_laplacian_fd(u: GridField) -> GridField:
 
     Boundary-ring values are not available and are flagged invalid.
     """
-    vals = u.values
     shape = u.domain.shape
     h = u.domain.spacings
     out = np.full(shape, np.nan)
     core = tuple(slice(1, -1) for _ in shape)
     acc = np.zeros(tuple(s - 2 for s in shape))
     for a in range(len(shape)):
-        up = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(len(shape)))
-        dn = tuple(slice(0, -2) if b == a else slice(1, -1) for b in range(len(shape)))
-        acc += (vals[up] - 2.0 * vals[core] + vals[dn]) / (h[a] * h[a])
+        acc += _second_diff(u.values, a, h[a])
     out[core] = 0.25 * acc
     valid = np.zeros(shape, dtype=bool)
     valid[core] = True
@@ -307,34 +288,16 @@ def lp_norm(f: GridField, p: float) -> float:
 def second_derivative_magnitude(u: GridField) -> GridField:
     """Pointwise Frobenius magnitude of the full real FD second-derivative
     matrix, on interior nodes (off-diagonal pairs counted twice)."""
-    vals = u.values
     shape = u.domain.shape
     h = u.domain.spacings
     m = len(shape)
     core = tuple(slice(1, -1) for _ in shape)
     acc = np.zeros(tuple(s - 2 for s in shape))
-
-    def shifted(offsets):
-        return vals[tuple(slice(1 + o, (s - 1) + o) for o, s in zip(offsets, shape))]
-
-    zero = [0] * m
     for a in range(m):
-        o = zero.copy(); o[a] = 1
-        up = shifted(o)
-        o[a] = -1
-        dn = shifted(o)
-        d2 = (up - 2.0 * vals[core] + dn) / (h[a] * h[a])
+        d2 = _second_diff(u.values, a, h[a])
         acc += d2 * d2
         for b in range(a + 1, m):
-            o = zero.copy(); o[a] = 1; o[b] = 1
-            pp = shifted(o)
-            o[b] = -1
-            pm = shifted(o)
-            o[a] = -1; o[b] = 1
-            mp = shifted(o)
-            o[b] = -1
-            mm = shifted(o)
-            d2 = (pp - pm - mp + mm) / (4.0 * h[a] * h[b])
+            d2 = _cross_diff(u.values, a, b, h[a], h[b])
             acc += 2.0 * d2 * d2
     out = np.zeros(shape)
     out[core] = np.sqrt(acc)
@@ -395,8 +358,6 @@ def domain_to_dict(d: GridDomain) -> dict:
         "excluded_tube_radius": d.excluded_tube_radius,
         "singular_axes": list(d.singular_axes),
     }
-    if d.ball_radius is not None:
-        out["ball_radius"] = d.ball_radius
     if d.max_nodes != DEFAULT_MAX_NODES:
         out["max_nodes"] = d.max_nodes
     return out
@@ -409,7 +370,6 @@ def domain_from_dict(obj: dict) -> GridDomain:
         tuple(obj["points_per_axis"]),
         excluded_tube_radius=obj.get("excluded_tube_radius", 0.0),
         singular_axes=tuple(obj["singular_axes"]) if "singular_axes" in obj else None,
-        ball_radius=obj.get("ball_radius"),
         max_nodes=obj.get("max_nodes", DEFAULT_MAX_NODES),
     )
 

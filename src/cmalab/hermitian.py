@@ -2,8 +2,8 @@
 
 Everything here operates on tiny matrices (complex dimension of the
 ambient space, so n <= ~6) and favours plain, checkable algorithms:
-eigenvalues come from a cyclic Jacobi sweep, log-determinants from
-Cholesky pivots.
+eigenvalues come from LAPACK (numpy.linalg.eigvalsh), log-determinants
+from Cholesky pivots.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularForm
+from .errors import IdentityViolated, NotPositiveDefinite, SingularForm
 
 __all__ = [
     "HermitianForm",
@@ -20,7 +20,6 @@ __all__ = [
     "herm_inverse",
     "psd_report",
     "log_det",
-    "jacobi_eigenvalues",
 ]
 
 
@@ -57,7 +56,8 @@ def herm_det(h: HermitianForm) -> float:
     """Determinant of a Hermitian matrix; the imaginary residue is discarded."""
     d = np.linalg.det(h.entries)
     scale = max(abs(d), 1.0)
-    assert abs(d.imag) <= 1e-12 * scale, "Hermitian determinant should be real"
+    if not abs(d.imag) <= 1e-12 * scale:  # also refuses a nan determinant
+        raise IdentityViolated(f"Hermitian determinant {complex(d)} is not real")
     return float(d.real)
 
 
@@ -76,51 +76,11 @@ def herm_inverse(h: HermitianForm) -> HermitianForm:
     return HermitianForm(np.linalg.inv(h.entries))
 
 
-def jacobi_eigenvalues(h: HermitianForm, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Returns eigenvalues sorted ascending.  Adequate and accurate for the
-    tiny dimensions used here.
-    """
-    a = np.array(h.entries, dtype=complex)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= tol * scale:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # factor the phase out of a[p,q], then a real Jacobi rotation
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                cols_p = a[:, p].copy()
-                cols_q = a[:, q].copy()
-                a[:, p] = c * cols_p - s * np.conj(phase) * cols_q
-                a[:, q] = s * cols_p + c * np.conj(phase) * cols_q
-                rows_p = a[p, :].copy()
-                rows_q = a[q, :].copy()
-                a[p, :] = c * rows_p - s * phase * rows_q
-                a[q, :] = s * rows_p + c * phase * rows_q
-        if off <= tol * scale:
-            break
-    return np.sort(np.diag(a).real)
-
-
 def psd_report(h: HermitianForm, tol: float) -> dict:
     """Positivity report: min eigenvalue plus PSD / PD verdicts at tolerance."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    eigs = jacobi_eigenvalues(h)
+    eigs = np.linalg.eigvalsh(h.entries)
     mn = float(eigs[0])
     return {
         "min_eigenvalue": mn,

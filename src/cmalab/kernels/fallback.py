@@ -11,31 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..grid import _cross_diff, _second_diff
+
 IMPL = "numpy"
-
-
-def _roll_view(u, axis, off):
-    """Interior-shifted view: u displaced by off cells along axis."""
-    sl = [slice(1, -1)] * u.ndim
-    sl[axis] = slice(1 + off, u.shape[axis] - 1 + off)
-    return u[tuple(sl)]
-
-
-def _second_diff(u, axis, h):
-    return (_roll_view(u, axis, 1) - 2.0 * _roll_view(u, axis, 0)
-            + _roll_view(u, axis, -1)) / (h * h)
-
-
-def _cross_diff(u, ax1, ax2, h1, h2):
-    sl = [slice(1, -1)] * u.ndim
-
-    def view(o1, o2):
-        s = list(sl)
-        s[ax1] = slice(1 + o1, u.shape[ax1] - 1 + o1)
-        s[ax2] = slice(1 + o2, u.shape[ax2] - 1 + o2)
-        return u[tuple(s)]
-
-    return (view(1, 1) - view(1, -1) - view(-1, 1) + view(-1, -1)) / (4.0 * h1 * h2)
 
 
 def hessian_fields(u: np.ndarray, h) -> tuple:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import IdentityViolated
+
 __all__ = [
     "MoserParams", "ThirdOrderSample", "p_sequence", "critical_exponent",
     "b_term", "b_product", "b_limit", "b_convergence_k", "a_coefficient",
@@ -30,7 +32,6 @@ class MoserParams:
     a: float
     R: float = 1.0
     r: float = 0.5
-    Lambda: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -39,8 +40,6 @@ class MoserParams:
             raise ValueError("exponent offset a must be positive")
         if not (0.0 < self.r < self.R <= 1.0):
             raise ValueError("radii must satisfy 0 < r < R <= 1")
-        if self.Lambda <= 0:
-            raise ValueError("Lambda must be positive")
 
     @property
     def p0(self) -> float:
@@ -69,7 +68,8 @@ def critical_exponent(params: MoserParams) -> float:
     n = params.n
     v1 = 2.0 * n * params.p0 / (n - 1.0)
     v2 = n * n + 2.0 * n * params.a / (n - 1.0)
-    assert abs(v1 - v2) <= 1e-12 * abs(v1)
+    if not abs(v1 - v2) <= 1e-12 * abs(v1):
+        raise IdentityViolated(f"the two forms of P0 disagree: {v1!r} and {v2!r}")
     return v1
 
 

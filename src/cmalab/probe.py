@@ -26,7 +26,7 @@ from .grid import (GridDomain, complex_laplacian_fd, sample,
 
 __all__ = [
     "holder_fit", "w2p_divergence_scan", "rhs_lipschitz_scaling",
-    "convergence_study", "RegularityReport", "ScanEntry",
+    "convergence_study", "ScanEntry",
 ]
 
 _SHELL_SEED = 20260823  # fixed: probes are deterministic by contract
@@ -39,16 +39,6 @@ class ScanEntry:
     verdict: str
     values: tuple = field(default=())
     spacings: tuple = field(default=())
-
-
-@dataclass
-class RegularityReport:
-    family: SolutionFamily
-    fitted_alpha: float = None
-    alpha_stderr: float = None
-    w2p_scan: list = field(default_factory=list)
-    lip_F_scaling: list = field(default_factory=list)
-    convergence: list = field(default_factory=list)
 
 
 def _callable_of(f):

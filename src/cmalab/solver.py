@@ -24,12 +24,11 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import NonConverged, NotPlurisubharmonic
-from .grid import GridDomain, GridField
-from .kernels.fallback import _cross_diff, _second_diff
+from .grid import GridDomain, GridField, _cross_diff, _second_diff
 
 __all__ = ["DirichletProblem", "NewtonConfig", "WirtingerOperator",
            "residual", "assemble_linearization", "newton_solve",
-           "default_init", "prolong", "usable_cores"]
+           "default_init", "usable_cores"]
 
 
 def usable_cores() -> int:
@@ -117,31 +116,41 @@ def _first_bad_node(ok_interior):
     return tuple(int(i) + 1 for i in idx)
 
 
-def _logdet_field(u: GridField, guard: float):
-    """Interior log det of the FD complex Hessian; raises on non-PD nodes."""
+def _checked_hessian(u: GridField, guard: float):
+    """Interior FD complex Hessian of u, after the positive-definiteness guard.
+
+    Returns (H, spectrum).  For n = 2, H is the interior entry fields
+    (h11, h22, hre, him) and spectrum is their determinant; otherwise H
+    is the dense (interior..., n, n) stack and spectrum its ascending
+    eigenvalues.  Raises NotPlurisubharmonic at the first node where the
+    Hessian is not PD with margin `guard`.
+    """
     dom = u.domain
-    core = _interior(dom.shape)
     if dom.n == 2:
-        h11, h22, hre, him = kernels.hessian_fields(u.values, dom.spacings)
-        det = h11[core] * h22[core] - hre[core] ** 2 - him[core] ** 2
-        ok = (h11[core] > guard) & (det > guard)
-        if not np.all(ok):
-            raise NotPlurisubharmonic(_first_bad_node(ok))
-        return np.log(det)
-    H = _hessian_stack_generic(u.values, dom.spacings, dom.n)
-    eig = np.linalg.eigvalsh(H)
-    ok = eig[..., 0] > guard
+        core = _interior(dom.shape)
+        H = tuple(f[core] for f in kernels.hessian_fields(u.values, dom.spacings))
+        h11, h22, hre, him = H
+        spectrum = h11 * h22 - hre ** 2 - him ** 2
+        ok = (h11 > guard) & (spectrum > guard)
+    else:
+        H = _hessian_stack_generic(u.values, dom.spacings, dom.n)
+        spectrum = np.linalg.eigvalsh(H)
+        ok = spectrum[..., 0] > guard
     if not np.all(ok):
         raise NotPlurisubharmonic(_first_bad_node(ok))
-    return np.sum(np.log(eig), axis=-1)
+    return H, spectrum
 
 
 def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> GridField:
     """Interior: log det(FD Hessian) - rhs.  Ring: u - boundary data."""
     shape = prob.domain.shape
+    _, spectrum = _checked_hessian(u, guard)
+    logdet = np.log(spectrum)
+    if prob.domain.n != 2:
+        logdet = np.sum(logdet, axis=-1)
     out = np.empty(shape)
     core = _interior(shape)
-    out[core] = _logdet_field(u, guard) - prob.rhs.values[core]
+    out[core] = logdet - prob.rhs.values[core]
     ring = _boundary_ring(shape)
     out[ring] = u.values[ring] - prob.boundary.values[ring]
     return GridField(prob.domain, out)
@@ -202,28 +211,15 @@ class WirtingerOperator:
 def assemble_linearization(u: GridField, guard: float = 1e-12) -> WirtingerOperator:
     """Inverse FD Hessian coefficients at every interior node."""
     dom = u.domain
+    H, det = _checked_hessian(u, guard)
+    if dom.n != 2:
+        return WirtingerOperator(dom, (), stack=np.linalg.inv(H))
+    h11, h22, hre, him = H
     core = _interior(dom.shape)
-    if dom.n == 2:
-        h11, h22, hre, him = kernels.hessian_fields(u.values, dom.spacings)
-        det = h11 * h22 - hre ** 2 - him ** 2
-        ok = (h11[core] > guard) & (det[core] > guard)
-        if not np.all(ok):
-            raise NotPlurisubharmonic(_first_bad_node(ok))
-        det[det == 0.0] = 1.0  # ring placeholder; coefficients there are zeroed
-        p11 = np.where(det > 0, h22 / det, 0.0)
-        p22 = np.where(det > 0, h11 / det, 0.0)
-        p12 = np.where(det > 0, -hre / det, 0.0)
-        q12 = np.where(det > 0, -him / det, 0.0)
-        ring = _boundary_ring(dom.shape)
-        for arr in (p11, p22, p12, q12):
-            arr[ring] = 0.0
-        return WirtingerOperator(dom, (p11, p22, p12, q12))
-    H = _hessian_stack_generic(u.values, dom.spacings, dom.n)
-    eig = np.linalg.eigvalsh(H)
-    ok = eig[..., 0] > guard
-    if not np.all(ok):
-        raise NotPlurisubharmonic(_first_bad_node(ok))
-    return WirtingerOperator(dom, (), stack=np.linalg.inv(H))
+    p = tuple(np.zeros(dom.shape) for _ in range(4))
+    for coef, num in zip(p, (h22, h11, -hre, -him)):
+        coef[core] = num / det
+    return WirtingerOperator(dom, p)
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +329,12 @@ def default_init(prob: DirichletProblem, guard: float = 1e-12,
         vals = quad + _harmonic_lift(dom, mismatch, workers)
         u = GridField(dom, vals)
         try:
-            _logdet_field(u, guard)
+            _checked_hessian(u, guard)
             return u
         except NotPlurisubharmonic:
             c *= 2.0
     raise NotPlurisubharmonic(
         "no plurisubharmonic default initialization found; supply init=")
-
-
-def prolong(coarse: GridField, fine_domain: GridDomain) -> GridField:
-    """Multilinear interpolation of a coarse solution onto a finer grid,
-    used as a nested-iteration initial guess."""
-    from scipy.interpolate import RegularGridInterpolator
-    interp = RegularGridInterpolator(
-        tuple(coarse.domain.axis_coords(a) for a in range(len(coarse.domain.shape))),
-        coarse.values, bounds_error=False, fill_value=None)
-    vals = interp(fine_domain.node_coords_flat()).reshape(fine_domain.shape)
-    return GridField(fine_domain, vals)
 
 
 def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
@@ -393,7 +378,8 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
                                 maxiter=cfg.inner_maxiter, callback=cb)
         inner_counts.append(count[0])
         if info != 0 and not np.all(np.isfinite(d)):
-            raise NonConverged({"reason": "inner solve failed", "iteration": iterations})
+            raise NonConverged({"reason": "inner solve failed", "iterations": iterations,
+                                "final_residual": res_norm})
         step = np.zeros(shape)
         step[core] = d.reshape(tuple(s - 2 for s in shape))
         alpha = 1.0

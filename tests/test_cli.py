@@ -1,9 +1,12 @@
 import csv
+import functools
 import json
 import os
 
 import pytest
+import scipy.sparse.linalg as spla
 
+from cmalab import cli
 from cmalab.cli import main
 
 
@@ -85,6 +88,45 @@ def test_solve_small_grid(tmp_path):
     report = read_json(os.path.join(out, "report.json"))
     assert report["final_residual"] < 1e-10
     assert os.path.exists(os.path.join(out, "solution.csv"))
+
+
+def test_solve_nonconverged_writes_failure(tmp_path):
+    out = str(tmp_path)
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9",
+                 "--max-iters", "1"]) == 1
+    failure = read_json(os.path.join(out, "failure.json"))
+    assert failure["invariant"] == "newton residual below tolerance"
+    assert failure["detail"]["iterations"] == 1
+    assert failure["detail"]["final_residual"] > 1e-10
+
+
+def test_solve_inner_solve_failure_writes_failure(tmp_path, monkeypatch):
+    def broken_bicgstab(A, b, **kwargs):
+        return b * float("nan"), 1
+
+    monkeypatch.setattr(spla, "bicgstab", broken_bicgstab)
+    out = str(tmp_path)
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9"]) == 1
+    detail = read_json(os.path.join(out, "failure.json"))["detail"]
+    assert detail["iterations"] == 1
+    assert detail["final_residual"] > 0
+
+
+def test_solve_not_plurisubharmonic_writes_failure(tmp_path, monkeypatch):
+    # default_init finds no plurisubharmonic initial guess
+    out = str(tmp_path / "init")
+    assert main(["solve", "--out", out, "--eps", "0.05", "--points", "17"]) == 1
+    failure = read_json(os.path.join(out, "failure.json"))
+    assert "positive definite" in failure["invariant"]
+    assert "default initialization" in failure["detail"]["message"]
+    # no step length is allowed, so the line search finds no step
+    monkeypatch.setattr(cli, "NewtonConfig",
+                        functools.partial(cli.NewtonConfig, min_step=2.0))
+    out = str(tmp_path / "line_search")
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9"]) == 1
+    failure = read_json(os.path.join(out, "failure.json"))
+    assert "positive definite" in failure["invariant"]
+    assert "line search" in failure["detail"]["message"]
 
 
 def test_viscosity_no_upper_touch(tmp_path):

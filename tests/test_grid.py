@@ -109,6 +109,21 @@ def test_complex_laplacian_of_squared_modulus():
     assert not lap.valid[0, 4, 4, 4]
 
 
+def test_stencils_agree_with_pointwise_hessian():
+    # the whole-grid stencils and the per-node real Hessian share one
+    # stencil pair; check them against each other on a random field
+    dom = box(5)
+    u = GridField(dom, np.random.default_rng(3).normal(size=dom.shape))
+    lap = complex_laplacian_fd(u)
+    mag = second_derivative_magnitude(u)
+    for idx in np.ndindex(*(s - 2 for s in dom.shape)):
+        node = tuple(i + 1 for i in idx)
+        H = real_hessian_fd(u, node)
+        # the Frobenius norm counts each off-diagonal entry twice
+        assert mag.values[node] == pytest.approx(np.sqrt(np.sum(H * H)), rel=1e-13)
+        assert lap.values[node] == pytest.approx(0.25 * np.trace(H), rel=1e-13, abs=1e-12)
+
+
 def test_lp_norm_constant():
     dom = box(9)
     u = GridField(dom, np.full(dom.shape, 3.0))

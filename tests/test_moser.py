@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmalab.errors import IdentityViolated
 from cmalab.moser import (MoserParams, ThirdOrderSample, a_coefficient,
                           b_convergence_k, b_limit, b_product, b_term,
                           chain_weight, critical_exponent, log_a_partial_sums,
@@ -43,6 +44,9 @@ def test_critical_exponent():
         vals = [critical_exponent(MoserParams(n, 10.0 ** -e)) for e in range(1, 7)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(n * n, abs=1e-4)
+    # both closed forms overflow to inf, so they cannot be checked equal
+    with pytest.raises(IdentityViolated):
+        critical_exponent(MoserParams(2, 1e308))
 
 
 def test_b_terms_and_products():
