@@ -162,6 +162,11 @@ def _cmd_hessian(settings: _Settings, out_dir: str, seed: int) -> int:
     return 0
 
 
+def _log_inner_info(out_dir: str, codes) -> None:
+    """BiCGStab info code of each Newton iteration (0: inner tolerance met)."""
+    _log(out_dir, "inner_info=" + ",".join(str(c) for c in codes))
+
+
 def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
     if fam.eps <= 0:
@@ -185,12 +190,14 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
     try:
         out = newton_solve(prob, cfg)
     except NonConverged as exc:
+        _log_inner_info(out_dir, exc.result["inner_info"])
         return _fail(out_dir, "newton residual below tolerance",
                      {"final_residual": exc.result["final_residual"],
                       "iterations": exc.result["iterations"]})
     except NotPlurisubharmonic as exc:
         return _fail(out_dir, "finite-difference complex Hessian positive "
                      "definite at every iterate", {"message": str(exc)})
+    _log_inner_info(out_dir, out["inner_info"])
     sol = out["solution"]
     _atomic_write(os.path.join(out_dir, "solution.csv"), field_to_csv(sol))
     report = {

@@ -251,18 +251,18 @@ def complex_laplacian_fd(u: GridField) -> GridField:
     """
     shape = u.domain.shape
     h = u.domain.spacings
-    out = np.full(shape, np.nan)
     core = tuple(slice(1, -1) for _ in shape)
     acc = np.zeros(tuple(s - 2 for s in shape))
     for a in range(len(shape)):
         acc += _second_diff(u.values, a, h[a])
+    out = np.zeros(shape)
     out[core] = 0.25 * acc
     valid = np.zeros(shape, dtype=bool)
     valid[core] = True
     if u.valid is not None:
         valid &= u.valid
-    out[~valid] = np.nan
-    return GridField(u.domain, np.where(valid, out, 0.0), valid)
+        out[~u.valid] = 0.0
+    return GridField(u.domain, out, valid)
 
 
 # ---------------------------------------------------------------------------

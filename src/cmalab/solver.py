@@ -229,9 +229,16 @@ class _DstPreconditioner:
     """Fast-diagonalization solve of the constant-coefficient surrogate
     (Lynch, Rice & Thomas 1964): a type-I sine transform pair on
     `workers` threads (None: every usable core).  The thread count does
-    not change the result."""
+    not change the result.
 
-    def __init__(self, domain: GridDomain, diag_means, workers: int = None):
+    The transforms run in `dtype`: float64 where the solve is direct,
+    float32 where it only preconditions a Krylov solve (about 3e-7
+    relative error, which moves the search directions; BiCGStab still
+    measures its residual in float64).  The result is always a fresh
+    float64 vector."""
+
+    def __init__(self, domain: GridDomain, diag_means, workers: int = None,
+                 dtype=np.float64):
         shape = tuple(s - 2 for s in domain.shape)
         h = domain.spacings
         lam = []
@@ -248,13 +255,15 @@ class _DstPreconditioner:
             sh[ya] = shape[ya]
             eig = eig + 0.25 * c * lam[ya].reshape(sh)
         self.shape = shape
-        self.eig = eig
+        self.eig = eig.astype(dtype, copy=False)
         self.workers = workers or usable_cores()
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        y = sfft.dstn(r.reshape(self.shape), type=1, workers=self.workers)
+        y = r.reshape(self.shape).astype(self.eig.dtype)
+        y = sfft.dstn(y, type=1, workers=self.workers, overwrite_x=True)
         y /= self.eig
-        return sfft.idstn(y, type=1, workers=self.workers).ravel()
+        y = sfft.idstn(y, type=1, workers=self.workers, overwrite_x=True)
+        return y.astype(np.float64, copy=False).ravel()
 
 
 def _interior_linop(op: WirtingerOperator):
@@ -268,7 +277,7 @@ def _interior_linop(op: WirtingerOperator):
         out = op.apply(buf)
         return -out[core].ravel()  # negated: makes the operator positive
 
-    return spla.LinearOperator((m, m), matvec=mv)
+    return spla.LinearOperator((m, m), matvec=mv, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +350,10 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
                  init: GridField = None) -> dict:
     """Damped Newton on the log-det residual.
 
-    Returns solution, iterations, final_residual, residual history and
-    inner-iteration counts.  Raises NonConverged (carrying the best
+    Returns solution, iterations, final_residual, residual history,
+    inner-iteration counts and the BiCGStab info code of each outer
+    iteration (nonzero: the inner solve stopped short of its tolerance,
+    yet its finite step was used).  Raises NonConverged (carrying the best
     iterate) if max_iters is exhausted above tolerance.
     """
     dom = prob.domain
@@ -358,15 +369,18 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     res_norm = float(np.max(np.abs(res.values)))
     history = [res_norm]
     inner_counts = []
+    inner_info = []
     iterations = 0
     for _ in range(cfg.max_iters):
         if res_norm <= cfg.tol_residual:
             break
         iterations += 1
         op = assemble_linearization(cur, cfg.psd_guard)
-        pre = _DstPreconditioner(dom, op.mean_diagonal(), cfg.workers)
+        pre = _DstPreconditioner(dom, op.mean_diagonal(), cfg.workers,
+                                 dtype=np.float32)
         A = _interior_linop(op)
-        M = spla.LinearOperator(A.shape, matvec=pre.solve)
+        # an explicit dtype spares LinearOperator its probing call
+        M = spla.LinearOperator(A.shape, matvec=pre.solve, dtype=np.float64)
         b = res.values[core].ravel()  # solve -L d = -res, i.e. A d = res
         eta = max(min(0.1, 0.5 * res_norm), cfg.inner_tol)
         count = [0]
@@ -376,10 +390,13 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
 
         d, info = spla.bicgstab(A, b, rtol=eta, atol=0.0, M=M,
                                 maxiter=cfg.inner_maxiter, callback=cb)
+        # free this operator before the line search and the next assembly
+        del op, pre, A, M
         inner_counts.append(count[0])
+        inner_info.append(int(info))
         if info != 0 and not np.all(np.isfinite(d)):
             raise NonConverged({"reason": "inner solve failed", "iterations": iterations,
-                                "final_residual": res_norm})
+                                "final_residual": res_norm, "inner_info": inner_info})
         step = np.zeros(shape)
         step[core] = d.reshape(tuple(s - 2 for s in shape))
         alpha = 1.0
@@ -408,6 +425,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         "final_residual": res_norm,
         "residual_history": history,
         "inner_iterations": inner_counts,
+        "inner_info": inner_info,
     }
     if res_norm > cfg.tol_residual:
         raise NonConverged(result)

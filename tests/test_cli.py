@@ -112,6 +112,24 @@ def test_solve_inner_solve_failure_writes_failure(tmp_path, monkeypatch):
     assert detail["final_residual"] > 0
 
 
+def test_solve_logs_inner_info(tmp_path, monkeypatch):
+    real = spla.bicgstab
+
+    def short_bicgstab(A, b, **kwargs):
+        d, _ = real(A, b, **kwargs)
+        return d, 1
+
+    monkeypatch.setattr(spla, "bicgstab", short_bicgstab)
+    out = str(tmp_path)
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9"]) == 0
+    report = read_json(os.path.join(out, "report.json"))
+    with open(os.path.join(out, "run.log")) as f:
+        lines = f.read().splitlines()
+    logged = [ln.split(" ", 1)[1] for ln in lines if " inner_info=" in ln]
+    assert logged == ["inner_info=" + ",".join(["1"] * report["iterations"])]
+    assert "inner_info" not in report
+
+
 def test_solve_not_plurisubharmonic_writes_failure(tmp_path, monkeypatch):
     # default_init finds no plurisubharmonic initial guess
     out = str(tmp_path / "init")

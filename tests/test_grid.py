@@ -3,7 +3,7 @@ import pytest
 
 from cmalab.errors import BoundaryNode, GridTooLarge, NonFiniteSample
 from cmalab.families import SolutionFamily, eval_analytic_hessian
-from cmalab.grid import (GridDomain, GridField, complex_hessian_fd,
+from cmalab.grid import (GridDomain, GridField, _second_diff, complex_hessian_fd,
                          complex_laplacian_fd, domain_from_dict,
                          domain_to_dict, field_from_csv, field_from_json,
                          field_to_csv, field_to_json, lp_norm,
@@ -107,6 +107,35 @@ def test_complex_laplacian_of_squared_modulus():
     core = (slice(1, -1),) * 4
     assert np.max(np.abs(lap.values[core] - 2.0)) < 1e-11
     assert not lap.valid[0, 4, 4, 4]
+
+
+def _complex_laplacian_nan_fill(u):
+    # the former formula: nan fill, nan on invalid nodes, then np.where
+    shape = u.domain.shape
+    out = np.full(shape, np.nan)
+    core = (slice(1, -1),) * len(shape)
+    acc = np.zeros(tuple(s - 2 for s in shape))
+    for a in range(len(shape)):
+        acc += _second_diff(u.values, a, u.domain.spacings[a])
+    out[core] = 0.25 * acc
+    valid = np.zeros(shape, dtype=bool)
+    valid[core] = True
+    if u.valid is not None:
+        valid &= u.valid
+    out[~valid] = np.nan
+    return np.where(valid, out, 0.0), valid
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_complex_laplacian_matches_nan_fill_formula(masked):
+    dom = box(7)
+    rng = np.random.default_rng(5)
+    valid = rng.random(dom.shape) > 0.3 if masked else None
+    u = GridField(dom, rng.normal(size=dom.shape), valid)
+    lap = complex_laplacian_fd(u)
+    ref, ref_valid = _complex_laplacian_nan_fill(u)
+    assert lap.values.tobytes() == ref.tobytes()
+    assert np.array_equal(lap.valid, ref_valid)
 
 
 def test_stencils_agree_with_pointwise_hessian():

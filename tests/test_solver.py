@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
+import scipy.sparse.linalg as spla
 
 from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
@@ -194,3 +196,77 @@ def test_dst_workers_do_not_change_result():
     assert np.array_equal(one, two)
     with pytest.raises(ValueError):
         NewtonConfig(workers=0)
+
+
+def test_float32_dst_workers_do_not_change_result():
+    dom = box(11)
+    r = np.random.default_rng(3).normal(size=9 ** 4)
+    one = _DstPreconditioner(dom, [1.0, 2.0], workers=1, dtype=np.float32).solve(r)
+    two = _DstPreconditioner(dom, [1.0, 2.0], workers=2, dtype=np.float32).solve(r)
+    assert one.dtype == np.float64 and one.shape == r.shape
+    assert np.array_equal(one, two)
+
+
+def test_float32_dst_close_to_float64():
+    dom = box(11)
+    r = np.random.default_rng(4).normal(size=9 ** 4)
+    exact = _DstPreconditioner(dom, [1.0, 2.0]).solve(r)
+    single = _DstPreconditioner(dom, [1.0, 2.0], dtype=np.float32).solve(r)
+    # nonzero: the transforms did run in single precision
+    assert 0 < np.linalg.norm(single - exact) <= 1e-6 * np.linalg.norm(exact)
+
+
+def test_krylov_operators_only_see_float64(monkeypatch):
+    # a LinearOperator built without a dtype probes its matvec with an
+    # int8 vector; every call must be a real float64 Krylov vector
+    seen = []
+    real = spla.LinearOperator
+
+    def spying(shape, matvec, **kwargs):
+        def mv(x):
+            seen.append(x.dtype)
+            return matvec(x)
+        return real(shape, matvec=mv, **kwargs)
+
+    monkeypatch.setattr(spla, "LinearOperator", spying)
+    prob, _ = manufactured(9)
+    newton_solve(prob, NewtonConfig(tol_residual=1e-10))
+    assert seen and all(dt == np.float64 for dt in seen)
+
+
+def test_default_init_uses_float64_lift(monkeypatch):
+    prob, _ = manufactured(9)
+    init = default_init(prob)
+
+    def reference_solve(self, r):
+        y = sfft.dstn(r.reshape(self.shape), type=1, workers=self.workers)
+        y /= self.eig
+        return sfft.idstn(y, type=1, workers=self.workers).ravel()
+
+    monkeypatch.setattr(_DstPreconditioner, "solve", reference_solve)
+    ref = default_init(prob)
+    assert init.values.tobytes() == ref.values.tobytes()
+
+
+def test_float32_preconditioner_keeps_inner_iterations():
+    # the counts the float64 transforms gave at 17^4
+    prob, _ = manufactured(17)
+    out = newton_solve(prob, NewtonConfig(tol_residual=1e-10))
+    assert out["inner_iterations"] == [0, 1, 1, 2, 5, 10]
+    assert out["inner_info"] == [0] * 6
+
+
+def test_inner_info_reports_short_inner_solves(monkeypatch):
+    # BiCGStab stops short (info > 0) but returns a finite step: the
+    # solve goes on and the code is reported per outer iteration
+    real = spla.bicgstab
+
+    def short_bicgstab(A, b, **kwargs):
+        d, _ = real(A, b, **kwargs)
+        return d, 1
+
+    monkeypatch.setattr(spla, "bicgstab", short_bicgstab)
+    prob, _ = manufactured(9)
+    out = newton_solve(prob, NewtonConfig(tol_residual=1e-10))
+    assert out["final_residual"] <= 1e-10
+    assert out["inner_info"] == [1] * out["iterations"]
