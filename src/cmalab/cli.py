@@ -6,7 +6,8 @@ fixed config and seed and are written atomically (temp file + rename);
 wall-clock timestamps go only to a sidecar run.log.
 
 Exit codes: 0 all checks pass, 1 a mathematical assertion failed (a
-JSON failure report names the invariant), 2 configuration or IO error.
+JSON failure report names the invariant), 2 configuration or IO error,
+including a grid above its node cap (`--max-nodes` for solve).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import time
 import numpy as np
 
 from . import kernels, moser, probe, viscosity
-from .errors import CmaLabError, ConfigError, NonConverged, NotPlurisubharmonic
+from .errors import (CmaLabError, ConfigError, GridTooLarge, NonConverged,
+                     NotPlurisubharmonic)
 from .families import SolutionFamily, eval_analytic_hessian, eval_rhs, verify_identity
 from .grid import (GridDomain, GridField, complex_hessian_fd, field_to_csv,
                    sample)
@@ -162,9 +164,11 @@ def _cmd_hessian(settings: _Settings, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _log_inner_info(out_dir: str, codes) -> None:
-    """BiCGStab info code of each Newton iteration (0: inner tolerance met)."""
-    _log(out_dir, "inner_info=" + ",".join(str(c) for c in codes))
+def _log_inner_solves(out_dir: str, result: dict) -> None:
+    """BiCGStab info code (0: inner tolerance met) and preconditioner-solve
+    count of each Newton iteration."""
+    for key in ("inner_info", "psolves"):
+        _log(out_dir, f"{key}=" + ",".join(str(c) for c in result[key]))
 
 
 def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
@@ -173,10 +177,12 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
         raise ConfigError("solve needs a smooth family (eps > 0)")
     points = int(settings.get("points", 17))
     half_width = float(settings.get("half_width", 1.0))
+    max_nodes = int(settings.get("max_nodes", 10_000_000))
+    if max_nodes < 1:
+        raise ConfigError("max_nodes must be >= 1")
     m = fam.dim
     dom = GridDomain(np.zeros(2 * m), np.full(2 * m, half_width),
-                     (points,) * (2 * m),
-                     max_nodes=int(settings.get("max_nodes", 10_000_000)))
+                     (points,) * (2 * m), max_nodes=max_nodes)
     coords = dom.node_coords_flat()
     oracle = sample(dom, fam.value)
     rhs = GridField(dom, np.log(eval_rhs(fam, coords)).reshape(dom.shape))
@@ -190,14 +196,14 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
     try:
         out = newton_solve(prob, cfg)
     except NonConverged as exc:
-        _log_inner_info(out_dir, exc.result["inner_info"])
+        _log_inner_solves(out_dir, exc.result)
         return _fail(out_dir, "newton residual below tolerance",
                      {"final_residual": exc.result["final_residual"],
                       "iterations": exc.result["iterations"]})
     except NotPlurisubharmonic as exc:
         return _fail(out_dir, "finite-difference complex Hessian positive "
                      "definite at every iterate", {"message": str(exc)})
-    _log_inner_info(out_dir, out["inner_info"])
+    _log_inner_solves(out_dir, out)
     sol = out["solution"]
     _atomic_write(os.path.join(out_dir, "solution.csv"), field_to_csv(sol))
     report = {
@@ -329,6 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-width", dest="half_width", type=float)
     p.add_argument("--tol-residual", dest="tol_residual", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--max-nodes", dest="max_nodes", type=int)
 
     p = sub.add_parser("probe", parents=[common])
     p.add_argument("--family", type=str)
@@ -379,7 +386,7 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.subcommand](settings, out_dir, seed)
         _log(out_dir, f"exit={code}")
         return code
-    except (ConfigError, OSError, ValueError, KeyError) as exc:
+    except (ConfigError, GridTooLarge, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CmaLabError as exc:

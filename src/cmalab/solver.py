@@ -66,7 +66,6 @@ class NewtonConfig:
     max_iters: int = 30
     min_step: float = 2.0 ** -20
     psd_guard: float = 1e-12
-    inner_tol: float = 1e-10
     inner_maxiter: int = 400
     workers: int = None   # sine-transform workers; None: every usable core
 
@@ -346,15 +345,35 @@ def default_init(prob: DirichletProblem, guard: float = 1e-12,
         "no plurisubharmonic default initialization found; supply init=")
 
 
+def _forcing(res_norm: float, prev_norm: float, tol: float) -> float:
+    """Relative tolerance of the inner solve at outer residual res_norm.
+
+    Eisenstat-Walker choice 2 (gamma = 0.9, exponent 2), capped at 0.1:
+    0.1 on the first Newton step (prev_norm None), then
+    0.9 (res_norm / prev_norm)^2.  Kelley's floor 0.5 tol / res_norm
+    stops the last inner solves from driving the linear residual far
+    below what the outer tolerance asks (Eisenstat & Walker, SIAM J.
+    Sci. Comput. 17, 1996; Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, ch. 6).  The cap makes the EW
+    safeguard max(eta, 0.9 eta_prev^2) inert, so it is left out.
+    """
+    if prev_norm is None:
+        return 0.1
+    return min(0.1, max(0.9 * (res_norm / prev_norm) ** 2, 0.5 * tol / res_norm))
+
+
 def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
                  init: GridField = None) -> dict:
     """Damped Newton on the log-det residual.
 
-    Returns solution, iterations, final_residual, residual history,
-    inner-iteration counts and the BiCGStab info code of each outer
-    iteration (nonzero: the inner solve stopped short of its tolerance,
-    yet its finite step was used).  Raises NonConverged (carrying the best
-    iterate) if max_iters is exhausted above tolerance.
+    Each Newton step solves its linearization with BiCGStab to the
+    relative tolerance `_forcing` sets.  Returns solution, iterations,
+    final_residual, residual history, and per outer iteration the
+    inner-iteration count (BiCGStab callbacks), the BiCGStab info code
+    (nonzero: the inner solve stopped short of its tolerance, yet its
+    finite step was used) and `psolves`, the preconditioner-solve count.
+    Raises NonConverged (carrying the best iterate) if max_iters is
+    exhausted above tolerance.
     """
     dom = prob.domain
     shape = dom.shape
@@ -370,6 +389,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     history = [res_norm]
     inner_counts = []
     inner_info = []
+    psolves = []
     iterations = 0
     for _ in range(cfg.max_iters):
         if res_norm <= cfg.tol_residual:
@@ -379,10 +399,17 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         pre = _DstPreconditioner(dom, op.mean_diagonal(), cfg.workers,
                                  dtype=np.float32)
         A = _interior_linop(op)
+        psolve_count = [0]
+
+        def psolve(r):
+            psolve_count[0] += 1
+            return pre.solve(r)
+
         # an explicit dtype spares LinearOperator its probing call
-        M = spla.LinearOperator(A.shape, matvec=pre.solve, dtype=np.float64)
+        M = spla.LinearOperator(A.shape, matvec=psolve, dtype=np.float64)
         b = res.values[core].ravel()  # solve -L d = -res, i.e. A d = res
-        eta = max(min(0.1, 0.5 * res_norm), cfg.inner_tol)
+        prev_norm = history[-2] if len(history) > 1 else None
+        eta = _forcing(res_norm, prev_norm, cfg.tol_residual)
         count = [0]
 
         def cb(_):
@@ -394,9 +421,11 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         del op, pre, A, M
         inner_counts.append(count[0])
         inner_info.append(int(info))
+        psolves.append(psolve_count[0])
         if info != 0 and not np.all(np.isfinite(d)):
             raise NonConverged({"reason": "inner solve failed", "iterations": iterations,
-                                "final_residual": res_norm, "inner_info": inner_info})
+                                "final_residual": res_norm, "inner_info": inner_info,
+                                "psolves": psolves})
         step = np.zeros(shape)
         step[core] = d.reshape(tuple(s - 2 for s in shape))
         alpha = 1.0
@@ -426,6 +455,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         "residual_history": history,
         "inner_iterations": inner_counts,
         "inner_info": inner_info,
+        "psolves": psolves,
     }
     if res_norm > cfg.tol_residual:
         raise NonConverged(result)

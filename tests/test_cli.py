@@ -128,6 +128,25 @@ def test_solve_logs_inner_info(tmp_path, monkeypatch):
     logged = [ln.split(" ", 1)[1] for ln in lines if " inner_info=" in ln]
     assert logged == ["inner_info=" + ",".join(["1"] * report["iterations"])]
     assert "inner_info" not in report
+    psolves = [ln.split(" ", 1)[1] for ln in lines if " psolves=" in ln]
+    assert len(psolves) == 1
+    counts = [int(c) for c in psolves[0][len("psolves="):].split(",")]
+    assert len(counts) == report["iterations"] and all(c >= 1 for c in counts)
+    assert "psolves" not in report
+
+
+def test_solve_grid_above_max_nodes_exits_2(tmp_path, capsys):
+    out = str(tmp_path)
+    # 9^4 = 6561 nodes
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9",
+                 "--max-nodes", "100"]) == 2
+    assert "cap of 100" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "failure.json"))
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9",
+                 "--max-nodes", "0"]) == 2
+    assert "max_nodes" in capsys.readouterr().err
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9",
+                 "--max-nodes", "6561"]) == 0
 
 
 def test_solve_not_plurisubharmonic_writes_failure(tmp_path, monkeypatch):

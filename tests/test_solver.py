@@ -7,8 +7,8 @@ from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, sample
 from cmalab.solver import (DirichletProblem, NewtonConfig, _DstPreconditioner,
-                           assemble_linearization, default_init, newton_solve,
-                           residual)
+                           _forcing, assemble_linearization, default_init,
+                           newton_solve, residual)
 
 
 def box(points, n=2, hw=1.0):
@@ -248,12 +248,76 @@ def test_default_init_uses_float64_lift(monkeypatch):
     assert init.values.tobytes() == ref.values.tobytes()
 
 
-def test_float32_preconditioner_keeps_inner_iterations():
-    # the counts the float64 transforms gave at 17^4
+def test_float32_preconditioner_keeps_inner_iterations(monkeypatch):
+    # the float32 transforms move the Krylov iterates by about 1e-7
+    # relative; at 17^4 that must not change any iteration count
     prob, _ = manufactured(17)
-    out = newton_solve(prob, NewtonConfig(tol_residual=1e-10))
-    assert out["inner_iterations"] == [0, 1, 1, 2, 5, 10]
-    assert out["inner_info"] == [0] * 6
+    cfg = NewtonConfig(tol_residual=1e-10)
+    single = newton_solve(prob, cfg)
+    real_init = _DstPreconditioner.__init__
+
+    def float64_init(self, domain, diag_means, workers=None, dtype=np.float64):
+        real_init(self, domain, diag_means, workers)
+
+    monkeypatch.setattr(_DstPreconditioner, "__init__", float64_init)
+    double = newton_solve(prob, cfg)
+    # nonzero gap: the first solve did run its transforms in float32
+    assert single["residual_history"] != double["residual_history"]
+    assert single["iterations"] == double["iterations"]
+    assert single["inner_iterations"] == double["inner_iterations"]
+    assert single["inner_info"] == [0] * single["iterations"]
+    assert double["inner_info"] == [0] * double["iterations"]
+
+
+@pytest.mark.parametrize("res_norm, prev_norm, tol, eta", [
+    (1.0, None, 1e-10, 0.1),        # first Newton step
+    (1e-6, None, 1e-10, 0.1),       # ... whatever its residual
+    (0.5, 0.6, 1e-10, 0.1),         # slow decrease: the 0.1 cap
+    (1e-2, 1e-1, 1e-10, 0.9e-2),    # Eisenstat-Walker 0.9 (r_k / r_{k-1})^2
+    # Kelley's floor 0.5 tol / r_k takes over where r_k^3 falls below
+    # (5 / 9) tol r_{k-1}^2, here at r_k = 8.2e-7
+    (1e-6, 1e-4, 1e-10, 0.9e-4),    # just above: the EW term
+    (5e-7, 1e-4, 1e-10, 1e-4),      # just below: the floor
+    (2e-9, 1e-8, 1e-9, 0.1),        # a floor above the cap is capped
+])
+def test_forcing_table(res_norm, prev_norm, tol, eta):
+    assert _forcing(res_norm, prev_norm, tol) == pytest.approx(eta, rel=1e-12)
+
+
+def test_inner_tolerances_lie_between_kelley_floor_and_cap(monkeypatch):
+    rtols = []
+    real = spla.bicgstab
+
+    def spying(A, b, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return real(A, b, **kwargs)
+
+    monkeypatch.setattr(spla, "bicgstab", spying)
+    prob, _ = manufactured(9)
+    tol = 1e-10
+    out = newton_solve(prob, NewtonConfig(tol_residual=tol))
+    assert len(rtols) == out["iterations"] >= 2
+    for eta, r_k in zip(rtols, out["residual_history"]):
+        # within 5 tol of the goal the floor exceeds the cap, which wins
+        assert min(0.5 * tol / r_k, 0.1) <= eta <= 0.1
+    assert out["final_residual"] <= tol
+
+
+def test_psolves_count_preconditioner_solves(monkeypatch):
+    prob, _ = manufactured(9)
+    init = default_init(prob)   # its lift is a direct solve, not counted
+    calls = [0]
+    real = _DstPreconditioner.solve
+
+    def counting(self, r):
+        calls[0] += 1
+        return real(self, r)
+
+    monkeypatch.setattr(_DstPreconditioner, "solve", counting)
+    out = newton_solve(prob, NewtonConfig(tol_residual=1e-10), init=init)
+    assert len(out["psolves"]) == out["iterations"]
+    assert all(c >= 1 for c in out["psolves"])
+    assert sum(out["psolves"]) == calls[0]
 
 
 def test_inner_info_reports_short_inner_solves(monkeypatch):
