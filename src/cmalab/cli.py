@@ -366,6 +366,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    out_dir = None
     try:
         config = {}
         if args.config:
@@ -384,14 +385,20 @@ def main(argv=None) -> int:
                       f"threads={_threads(settings)} kernels={kernel} "
                       f"config={args.config or '-'}")
         code = _COMMANDS[args.subcommand](settings, out_dir, seed)
-        _log(out_dir, f"exit={code}")
-        return code
     except (ConfigError, GridTooLarge, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except CmaLabError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    if out_dir is not None:
+        try:
+            _log(out_dir, f"exit={code}")
+        except OSError as exc:
+            # an IO error of its own on success; a failed run keeps its code
+            print(f"error: cannot write run.log: {exc}", file=sys.stderr)
+            code = code or 2
+    return code
 
 
 if __name__ == "__main__":

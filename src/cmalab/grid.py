@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -348,52 +347,3 @@ def field_from_csv(text: str) -> GridField:
     dom = GridDomain(center, hw, pts, excluded_tube_radius=tube)
     vals = np.array([float(r[0]) for r in rows[6:]])
     return GridField(dom, vals.reshape(pts))
-
-
-def domain_to_dict(d: GridDomain) -> dict:
-    out = {
-        "center": [float(x) for x in d.center],
-        "half_widths": [float(x) for x in d.half_widths],
-        "points_per_axis": list(d.points_per_axis),
-        "excluded_tube_radius": d.excluded_tube_radius,
-        "singular_axes": list(d.singular_axes),
-    }
-    if d.max_nodes != DEFAULT_MAX_NODES:
-        out["max_nodes"] = d.max_nodes
-    return out
-
-
-def domain_from_dict(obj: dict) -> GridDomain:
-    return GridDomain(
-        obj["center"],
-        obj["half_widths"],
-        tuple(obj["points_per_axis"]),
-        excluded_tube_radius=obj.get("excluded_tube_radius", 0.0),
-        singular_axes=tuple(obj["singular_axes"]) if "singular_axes" in obj else None,
-        max_nodes=obj.get("max_nodes", DEFAULT_MAX_NODES),
-    )
-
-
-def field_to_json(f: GridField) -> str:
-    obj = {
-        "domain": domain_to_dict(f.domain),
-        "values": [_fmt(v) for v in f.values.ravel()],
-    }
-    return json.dumps(obj, indent=1)
-
-
-def field_from_json(text: str) -> GridField:
-    obj = json.loads(text)
-    dom = domain_from_dict(obj["domain"])
-    vals = np.array([float(s) for s in obj["values"]]).reshape(dom.shape)
-    return GridField(dom, vals)
-
-
-def refine(domain: GridDomain, factor: int = 2) -> GridDomain:
-    """Halve spacings: N -> factor*(N-1)+1 per axis; tube radius follows 2h."""
-    pts = tuple(factor * (p - 1) + 1 for p in domain.points_per_axis)
-    new = replace(domain, points_per_axis=pts)
-    if domain.excluded_tube_radius > 0:
-        h = float(np.max(new.spacings[list(new.singular_axes)]))
-        new = replace(new, excluded_tube_radius=2.0 * h)
-    return new

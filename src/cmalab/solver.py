@@ -8,8 +8,12 @@ complex Laplacian inverted through fast sine transforms.  A halving
 line search keeps every accepted iterate strictly plurisubharmonic
 and the residual max-norm monotone.
 
-Two complex dimensions get fused stencil kernels (see cmalab.kernels);
-other dimensions fall back to stacked dense Hessians per node.
+Every complex dimension n keeps its operator coefficients in one real
+layout, the coef order of kernels.fallback.  For n = 2 the Hessian and
+the apply go through the cmalab.kernels entry points (C when it builds,
+else numpy) on full grids; for n >= 3 the solver calls the numpy
+formulas of kernels.fallback on interior arrays, and checks and inverts
+a dense complex Hessian per node.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.fft as sfft
@@ -24,7 +29,8 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import NonConverged, NotPlurisubharmonic
-from .grid import GridDomain, GridField, _cross_diff, _second_diff
+from .grid import GridDomain, GridField, _second_diff
+from .kernels.fallback import apply_interior, hessian_interior
 
 __all__ = ["DirichletProblem", "NewtonConfig", "WirtingerOperator",
            "residual", "assemble_linearization", "newton_solve",
@@ -91,22 +97,14 @@ def _boundary_ring(shape):
 # ---------------------------------------------------------------------------
 # FD complex Hessians over the whole grid
 
-def _hessian_stack_generic(values, spacings, n):
-    """(interior..., n, n) complex Hessian stack from central differences."""
-    core_shape = tuple(s - 2 for s in values.shape)
-    H = np.empty(core_shape + (n, n), dtype=complex)
+def _hessian_stack(fields, n):
+    """(interior..., n, n) complex Hessian stack from its coef-order fields."""
+    H = np.empty(fields[0].shape + (n, n), dtype=complex)
     for i in range(n):
-        xi, yi = 2 * i, 2 * i + 1
-        H[..., i, i] = 0.25 * (_second_diff(values, xi, spacings[xi])
-                               + _second_diff(values, yi, spacings[yi]))
-        for j in range(i + 1, n):
-            xj, yj = 2 * j, 2 * j + 1
-            re = 0.25 * (_cross_diff(values, xi, xj, spacings[xi], spacings[xj])
-                         + _cross_diff(values, yi, yj, spacings[yi], spacings[yj]))
-            im = 0.25 * (_cross_diff(values, xi, yj, spacings[xi], spacings[yj])
-                         - _cross_diff(values, yi, xj, spacings[yi], spacings[xj]))
-            H[..., i, j] = re + 1j * im
-            H[..., j, i] = re - 1j * im
+        H[..., i, i] = fields[i]
+    for re, im, (i, j) in zip(fields[n::2], fields[n + 1::2], combinations(range(n), 2)):
+        H[..., i, j] = re + 1j * im
+        H[..., j, i] = re - 1j * im
     return H
 
 
@@ -132,7 +130,7 @@ def _checked_hessian(u: GridField, guard: float):
         spectrum = h11 * h22 - hre ** 2 - him ** 2
         ok = (h11 > guard) & (spectrum > guard)
     else:
-        H = _hessian_stack_generic(u.values, dom.spacings, dom.n)
+        H = _hessian_stack(tuple(hessian_interior(u.values, dom.spacings)), dom.n)
         spectrum = np.linalg.eigvalsh(H)
         ok = spectrum[..., 0] > guard
     if not np.all(ok):
@@ -160,51 +158,32 @@ def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> Grid
 
 @dataclass(frozen=True)
 class WirtingerOperator:
-    """v -> sum over i, j of a^{ij} v_{ij} with frozen coefficients a."""
+    """v -> sum over i, j of a^{ij} v_{ij} with frozen coefficients a.
+
+    `coef` holds real fields in the coef order of kernels.fallback:
+    a^{ii} for i = 1..n, then Re a^{ij}, Im a^{ij} for each i < j.  For
+    n = 2 they are full grids with a zero ring, the layout of the
+    kernels.apply_linearization entry point; for n >= 3 they cover the
+    interior only, which keeps the larger grids small.
+    """
 
     domain: GridDomain
-    p: tuple = field(repr=False)   # fast path: (p11, p22, p12, q12) arrays
-    stack: np.ndarray = field(default=None, repr=False)  # generic: (..., n, n)
+    coef: tuple = field(repr=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         h = self.domain.spacings
-        if self.stack is None:
-            return kernels.apply_linearization(*self.p, v, h)
-        n = self.domain.n
-        core = _interior(self.domain.shape)
+        if self.domain.n == 2:
+            return kernels.apply_linearization(*self.coef, v, h)
         out = np.zeros_like(v)
-        acc = np.zeros(tuple(s - 2 for s in v.shape))
-        a = self.stack
-        for i in range(n):
-            xi, yi = 2 * i, 2 * i + 1
-            acc += 0.25 * a[..., i, i].real * (
-                _second_diff(v, xi, h[xi]) + _second_diff(v, yi, h[yi]))
-            for j in range(i + 1, n):
-                xj, yj = 2 * j, 2 * j + 1
-                acc += 0.5 * a[..., i, j].real * (
-                    _cross_diff(v, xi, xj, h[xi], h[xj])
-                    + _cross_diff(v, yi, yj, h[yi], h[yj]))
-                acc += 0.5 * a[..., i, j].imag * (
-                    _cross_diff(v, xi, yj, h[xi], h[yj])
-                    - _cross_diff(v, yi, xj, h[yi], h[xj]))
-        out[core] = acc
+        out[_interior(v.shape)] = apply_interior(self.coef, v, h)
         return out
-
-    def trace_interior(self) -> np.ndarray:
-        """Sum of the diagonal coefficients on the interior (the image of
-        the squared modulus function under the operator)."""
-        core = _interior(self.domain.shape)
-        if self.stack is None:
-            return self.p[0][core] + self.p[1][core]
-        return np.einsum("...ii->...", self.stack).real
 
     def mean_diagonal(self) -> tuple:
         """Interior means of the per-complex-axis diagonal coefficients."""
-        core = _interior(self.domain.shape)
-        if self.stack is None:
-            return (float(np.mean(self.p[0][core])), float(np.mean(self.p[1][core])))
-        return tuple(float(np.mean(self.stack[..., i, i].real))
-                     for i in range(self.domain.n))
+        diag = self.coef[:self.domain.n]
+        if self.domain.n == 2:
+            diag = tuple(c[_interior(self.domain.shape)] for c in diag)
+        return tuple(float(np.mean(c)) for c in diag)
 
 
 def assemble_linearization(u: GridField, guard: float = 1e-12) -> WirtingerOperator:
@@ -212,13 +191,18 @@ def assemble_linearization(u: GridField, guard: float = 1e-12) -> WirtingerOpera
     dom = u.domain
     H, det = _checked_hessian(u, guard)
     if dom.n != 2:
-        return WirtingerOperator(dom, (), stack=np.linalg.inv(H))
+        a = np.linalg.inv(H)
+        coef = [np.ascontiguousarray(a[..., i, i].real) for i in range(dom.n)]
+        for i, j in combinations(range(dom.n), 2):
+            coef += [np.ascontiguousarray(a[..., i, j].real),
+                     np.ascontiguousarray(a[..., i, j].imag)]
+        return WirtingerOperator(dom, tuple(coef))
     h11, h22, hre, him = H
     core = _interior(dom.shape)
-    p = tuple(np.zeros(dom.shape) for _ in range(4))
-    for coef, num in zip(p, (h22, h11, -hre, -him)):
-        coef[core] = num / det
-    return WirtingerOperator(dom, p)
+    coef = tuple(np.zeros(dom.shape) for _ in range(4))
+    for c, num in zip(coef, (h22, h11, -hre, -him)):
+        c[core] = num / det
+    return WirtingerOperator(dom, coef)
 
 
 # ---------------------------------------------------------------------------

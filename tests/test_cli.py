@@ -40,6 +40,14 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["verify", "--config", missing, "--out", str(tmp_path)]) == 2
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # run.log cannot be written below a regular file, not even its exit line
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["verify", "--out", str(blocker / "run"), "--points", "10"]) == 2
+    assert "cannot write run.log" in capsys.readouterr().err
+
+
 def test_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"points": 10, "eps": 0.5}))
@@ -142,6 +150,8 @@ def test_solve_grid_above_max_nodes_exits_2(tmp_path, capsys):
                  "--max-nodes", "100"]) == 2
     assert "cap of 100" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "failure.json"))
+    with open(os.path.join(out, "run.log")) as f:
+        assert f.read().splitlines()[-1].endswith(" exit=2")
     assert main(["solve", "--out", out, "--eps", "1", "--points", "9",
                  "--max-nodes", "0"]) == 2
     assert "max_nodes" in capsys.readouterr().err

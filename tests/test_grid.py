@@ -4,10 +4,8 @@ import pytest
 from cmalab.errors import BoundaryNode, GridTooLarge, NonFiniteSample
 from cmalab.families import SolutionFamily, eval_analytic_hessian
 from cmalab.grid import (GridDomain, GridField, _second_diff, complex_hessian_fd,
-                         complex_laplacian_fd, domain_from_dict,
-                         domain_to_dict, field_from_csv, field_from_json,
-                         field_to_csv, field_to_json, lp_norm,
-                         real_hessian_fd, refine, sample,
+                         complex_laplacian_fd, field_from_csv, field_to_csv,
+                         lp_norm, real_hessian_fd, sample,
                          second_derivative_magnitude, w2p_seminorm,
                          wirtinger_from_real_hessian)
 
@@ -179,20 +177,3 @@ def test_csv_roundtrip_identical():
     back = field_from_csv(text)
     assert np.array_equal(back.values, u.values)
     assert field_to_csv(back) == text
-
-
-def test_json_roundtrip():
-    dom = box(5, excluded_tube_radius=0.2)
-    u = GridField(dom, np.ones(dom.shape))
-    back = field_from_json(field_to_json(u))
-    assert np.array_equal(back.values, u.values)
-    assert domain_to_dict(domain_from_dict(domain_to_dict(dom))) == domain_to_dict(dom)
-
-
-def test_refine_halves_spacing():
-    # tube radius tracks 2h, so a 2h-radius tube halves under refinement
-    dom = box(9, excluded_tube_radius=0.5)
-    fine = refine(dom)
-    assert fine.points_per_axis == (17, 17, 17, 17)
-    assert np.allclose(fine.spacings, dom.spacings / 2)
-    assert fine.excluded_tube_radius == pytest.approx(dom.excluded_tube_radius / 2)

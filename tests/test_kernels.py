@@ -43,6 +43,32 @@ def test_apply_matches():
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+@pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
+@pytest.mark.parametrize("points", [9, 17])
+def test_c_and_numpy_bitwise_equal(points):
+    # power-of-two spacings: the two implementations agree bit for bit
+    rng = np.random.default_rng(points)
+    shape = (points,) * 4
+    h = [2.0 / (points - 1)] * 4
+    u = rng.normal(size=shape)
+    for a, b in zip(kernels.hessian_fields(u, h), fallback.hessian_fields(u, h)):
+        assert np.array_equal(a, b)
+    coeffs = [rng.normal(size=shape) for _ in range(4)]
+    assert np.array_equal(kernels.apply_linearization(*coeffs, u, h),
+                          fallback.apply_linearization(*coeffs, u, h))
+
+
+def test_bench_stencil_runs():
+    # nothing else runs this script; 9 points per axis, one DST worker
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, os.path.join(root, "benchmarks", "bench_stencil.py"),
+                          "9", "1"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "apply_linearization" in out.stdout
+
+
 def test_fallback_hessian_on_quadratic():
     # u = x1^2 + 2 y1 x2: known complex Hessian entries
     n = 9

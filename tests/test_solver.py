@@ -6,9 +6,10 @@ import scipy.sparse.linalg as spla
 from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, sample
+from cmalab.kernels.fallback import hessian_interior
 from cmalab.solver import (DirichletProblem, NewtonConfig, _DstPreconditioner,
-                           _forcing, assemble_linearization, default_init,
-                           newton_solve, residual)
+                           _forcing, _hessian_stack, assemble_linearization,
+                           default_init, newton_solve, residual)
 
 
 def box(points, n=2, hw=1.0):
@@ -80,7 +81,8 @@ def test_linearization_identity_coefficients():
     core = (slice(2, -2),) * 4
     assert np.allclose(out[core], 2.0)
     assert np.allclose(op.apply(np.ones(dom.shape))[core], 0.0)
-    assert np.allclose(op.trace_interior(), 2.0)
+    interior = (slice(1, -1),) * 4
+    assert np.allclose(op.coef[0][interior] + op.coef[1][interior], 2.0)
 
 
 def test_linearization_diagonal_inverse():
@@ -92,15 +94,15 @@ def test_linearization_diagonal_inverse():
     u = GridField(dom, vals.reshape(dom.shape))
     op = assemble_linearization(u)
     core = (slice(1, -1),) * 4
-    assert np.allclose(op.p[0][core], 0.5)
-    assert np.allclose(op.p[1][core], 2.0)
+    assert np.allclose(op.coef[0][core], 0.5)
+    assert np.allclose(op.coef[1][core], 2.0)
 
 
 def test_linearization_ellipticity():
     prob, oracle = manufactured(9)
     op = assemble_linearization(oracle)
-    from cmalab.solver import _hessian_stack_generic
-    H = _hessian_stack_generic(oracle.values, prob.domain.spacings, 2)
+    fields = tuple(hessian_interior(oracle.values, prob.domain.spacings))
+    H = _hessian_stack(fields, 2)
     a = np.linalg.inv(H)
     rng = np.random.default_rng(0)
     xi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -109,22 +111,26 @@ def test_linearization_ellipticity():
     assert np.all(quad * lap >= np.vdot(xi, xi).real - 1e-8)
 
 
-def test_linearization_consistency():
-    prob, oracle = manufactured(9)
+@pytest.mark.parametrize("n, points", [(2, 9), (3, 7)])
+def test_linearization_consistency(n, points):
+    # the operator is the derivative of the residual: central difference
+    prob, oracle = manufactured(points, n=n)
     dom = prob.domain
     coords = dom.node_coords_flat()
-    v = (np.cos(coords[:, 0]) * np.sin(coords[:, 1] + 0.3)
-         * np.cos(0.7 * coords[:, 2]) * np.cos(0.5 * coords[:, 3])).reshape(dom.shape)
+    v = np.cos(coords[:, 0]) * np.sin(coords[:, 1] + 0.3)
+    for a, k in zip(range(2, 2 * n), (0.7, 0.5, 0.6, 0.4)):
+        v = v * np.cos(k * coords[:, a])
+    v = v.reshape(dom.shape)
+    core = (slice(1, -1),) * (2 * n)
     ring = np.ones(dom.shape, dtype=bool)
-    ring[(slice(1, -1),) * 4] = False
+    ring[core] = False
     v[ring] = 0.0
     t = 1e-5
-    r0 = residual(oracle, prob)
-    r1 = residual(GridField(dom, oracle.values + t * v), prob)
+    r_plus = residual(GridField(dom, oracle.values + t * v), prob)
+    r_minus = residual(GridField(dom, oracle.values - t * v), prob)
     op = assemble_linearization(oracle)
-    gap = (r1.values - r0.values) / t - op.apply(v)
-    core = (slice(1, -1),) * 4
-    assert np.max(np.abs(gap[core])) < 1e-3
+    gap = (r_plus.values - r_minus.values) / (2 * t) - op.apply(v)
+    assert np.max(np.abs(gap[core])) < 1e-5
 
 
 def test_newton_squared_modulus():
