@@ -87,6 +87,30 @@ class _Settings:
             return v
         return self.config.get(key, default)
 
+    def number(self, key: str, kind, default):
+        """The setting converted by `kind` (int or float); ConfigError if
+        a config value does not convert."""
+        value = self.get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a number ({kind.__name__}), "
+                              f"got {value!r}") from None
+
+    def floats(self, key: str, default=None):
+        """The setting as a list of floats, from a list or a comma-separated
+        string; ConfigError if an entry does not convert."""
+        value = self.get(key)
+        if value is None:
+            return default
+        if isinstance(value, str):
+            value = value.split(",")
+        try:
+            return [float(v) for v in value]
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a list of numbers, "
+                              f"got {value!r}") from None
+
 
 def _threads(settings: _Settings) -> int:
     """Sine-transform threads: --threads, the config, CMA_LAB_THREADS, else
@@ -105,8 +129,8 @@ def _threads(settings: _Settings) -> int:
 
 def _family_from(settings: _Settings) -> SolutionFamily:
     kind = settings.get("family", "pogorelov2")
-    dim = int(settings.get("dim", 2))
-    eps = float(settings.get("eps", 0.0))
+    dim = settings.number("dim", int, 2)
+    eps = settings.number("eps", float, 0.0)
     return SolutionFamily(kind, dim, eps)
 
 
@@ -125,9 +149,9 @@ def _random_points(fam: SolutionFamily, count: int, min_w: float, rng) -> np.nda
 
 def _cmd_verify(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
-    count = int(settings.get("points", 1000))
-    min_w = float(settings.get("min_w", 1e-3))
-    tol = float(settings.get("tol", 1e-10))
+    count = settings.number("points", int, 1000)
+    min_w = settings.number("min_w", float, 1e-3)
+    tol = settings.number("tol", float, 1e-10)
     rng = np.random.default_rng(seed)
     pts = _random_points(fam, count, min_w, rng)
     gaps = [verify_identity(fam, p)["abs_gap"] for p in pts]
@@ -143,13 +167,11 @@ def _cmd_verify(settings: _Settings, out_dir: str, seed: int) -> int:
 
 def _cmd_hessian(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
-    point = settings.get("point")
+    point = settings.floats("point")
     if point is None:
         raise ConfigError("hessian requires a point")
-    if isinstance(point, str):
-        point = [float(s) for s in point.split(",")]
-    point = np.asarray(point, dtype=float)
-    h = float(settings.get("h", 1e-2))
+    point = np.asarray(point)
+    h = settings.number("h", float, 1e-2)
     dom = GridDomain(point, np.full(point.size, h), (3,) * point.size)
     u = sample(dom, fam.value)
     fd = complex_hessian_fd(u, (1,) * point.size)
@@ -175,9 +197,9 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
     if fam.eps <= 0:
         raise ConfigError("solve needs a smooth family (eps > 0)")
-    points = int(settings.get("points", 17))
-    half_width = float(settings.get("half_width", 1.0))
-    max_nodes = int(settings.get("max_nodes", 10_000_000))
+    points = settings.number("points", int, 17)
+    half_width = settings.number("half_width", float, 1.0)
+    max_nodes = settings.number("max_nodes", int, 10_000_000)
     if max_nodes < 1:
         raise ConfigError("max_nodes must be >= 1")
     m = fam.dim
@@ -187,10 +209,10 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
     oracle = sample(dom, fam.value)
     rhs = GridField(dom, np.log(eval_rhs(fam, coords)).reshape(dom.shape))
     prob = DirichletProblem(dom, rhs, oracle,
-                            Lambda=float(settings.get("Lambda", 10.0)))
+                            Lambda=settings.number("Lambda", float, 10.0))
     cfg = NewtonConfig(
-        tol_residual=float(settings.get("tol_residual", 1e-10)),
-        max_iters=int(settings.get("max_iters", 30)),
+        tol_residual=settings.number("tol_residual", float, 1e-10),
+        max_iters=settings.number("max_iters", int, 30),
         workers=_threads(settings),
     )
     try:
@@ -225,18 +247,18 @@ def _cmd_probe(settings: _Settings, out_dir: str, seed: int) -> int:
     radii = np.logspace(-4, -1, 10)
     fit = probe.holder_fit(fam, center, radii)
     rows.append(("holder_alpha", "", fit["alpha"]))
-    p_list = settings.get("p_list", [1.0, 3.0])
+    p_list = settings.floats("p_list", [1.0, 3.0])
     scan = probe.w2p_divergence_scan(
         fam, p_list,
-        base_points=int(settings.get("base_points", 33)),
+        base_points=settings.number("base_points", int, 33),
         use_laplacian=bool(settings.get("use_laplacian", fam.kind == "blocki")),
-        growth=float(settings.get("growth", math.sqrt(2.0))),
-        refinements=int(settings.get("refinements", 3)))
+        growth=settings.number("growth", float, math.sqrt(2.0)),
+        refinements=settings.number("refinements", int, 3))
     for e in scan:
         rows.append(("w2p_slope", e.p, e.slope))
     lip = []
     if fam.kind == "pogorelov2":
-        eps_list = settings.get("eps_list", [1 / 16, 1 / 64, 1 / 256, 1 / 1024])
+        eps_list = settings.floats("eps_list", [1 / 16, 1 / 64, 1 / 256, 1 / 1024])
         lip = probe.rhs_lipschitz_scaling(eps_list)
         for eps, sup in lip:
             rows.append(("lip_sup_gradient", eps, sup))
@@ -255,10 +277,10 @@ def _cmd_probe(settings: _Settings, out_dir: str, seed: int) -> int:
 
 def _cmd_moser(settings: _Settings, out_dir: str, seed: int) -> int:
     params = moser.MoserParams(
-        n=int(settings.get("n", 2)), a=float(settings.get("a", 1.0)),
-        R=float(settings.get("R", 1.0)), r=float(settings.get("r", 0.5)))
-    C = float(settings.get("C", 1.0))
-    k_max = int(settings.get("kmax", 60))
+        n=settings.number("n", int, 2), a=settings.number("a", float, 1.0),
+        R=settings.number("R", float, 1.0), r=settings.number("r", float, 0.5))
+    C = settings.number("C", float, 1.0)
+    k_max = settings.number("kmax", int, 60)
     sums = moser.log_a_partial_sums(params, k_max, C)
     rows = []
     for k in range(1, k_max + 1):
@@ -274,18 +296,14 @@ def _cmd_moser(settings: _Settings, out_dir: str, seed: int) -> int:
 
 def _cmd_viscosity(settings: _Settings, out_dir: str, seed: int) -> int:
     kind = settings.get("family", "pogorelov2")
-    dim = int(settings.get("dim", 2))
+    dim = settings.number("dim", int, 2)
     fam = SolutionFamily(kind, dim, 0.0)
-    base = settings.get("base")
-    if base is None:
-        base = [0.0] * (2 * dim)
-    elif isinstance(base, str):
-        base = [float(s) for s in base.split(",")]
+    base = settings.floats("base", [0.0] * (2 * dim))
     out = viscosity.search_touch_above(
-        fam, np.asarray(base, dtype=float),
-        radius=float(settings.get("radius", 0.1)),
-        attempts=int(settings.get("attempts", 1000)), seed=seed)
-    report = {"family": fam.to_dict(), "base": list(base), **out}
+        fam, np.asarray(base),
+        radius=settings.number("radius", float, 0.1),
+        attempts=settings.number("attempts", int, 1000), seed=seed)
+    report = {"family": fam.to_dict(), "base": base, **out}
     _write_json(os.path.join(out_dir, "viscosity.json"), report)
     if out["found"]:
         return _fail(out_dir, "no quadratic jet touches from above on the "
@@ -376,8 +394,11 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config: {exc}") from exc
         settings = _Settings(args, config)
-        out_dir = settings.get("out", ".")
-        seed = int(settings.get("seed", 0))
+        out = settings.get("out", ".")
+        if not isinstance(out, str):
+            raise ConfigError(f"out must be a directory path, got {out!r}")
+        out_dir = out   # set once checked: the exit line is logged under it
+        seed = settings.number("seed", int, 0)
         kernel = kernels.IMPL
         if kernels.FALLBACK_REASON:
             kernel += f" ({kernels.FALLBACK_REASON})"

@@ -12,8 +12,10 @@ Every complex dimension n keeps its operator coefficients in one real
 layout, the coef order of kernels.fallback.  For n = 2 the Hessian and
 the apply go through the cmalab.kernels entry points (C when it builds,
 else numpy) on full grids; for n >= 3 the solver calls the numpy
-formulas of kernels.fallback on interior arrays, and checks and inverts
-a dense complex Hessian per node.
+formulas of kernels.fallback on interior arrays.  The n = 2 guard,
+log-det and inverse are closed forms (det, adjugate / det); for n >= 3
+they come from a field-wise LDL^H factorization of the coef-order
+Hessian fields, each factor entry a whole interior array.
 """
 
 from __future__ import annotations
@@ -97,15 +99,65 @@ def _boundary_ring(shape):
 # ---------------------------------------------------------------------------
 # FD complex Hessians over the whole grid
 
-def _hessian_stack(fields, n):
-    """(interior..., n, n) complex Hessian stack from its coef-order fields."""
-    H = np.empty(fields[0].shape + (n, n), dtype=complex)
+def _ldlh(fields, n, shift=0.0):
+    """Field-wise LDL^H factorization H - shift I = L diag(d) L^H.
+
+    `fields` are the coef-order entry fields of the Hermitian matrix
+    field H.  Every entry is a whole array: the loops run over the
+    n(n+1)/2 entries, not over the nodes.  Returns (L, d): L[i][j] is
+    the complex field of the unit lower factor for j < i, d the n real
+    pivot fields.  A node that is not PD gets a pivot <= 0 or nan;
+    the warnings this raises on its way are suppressed.
+    """
+    upper = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    L = [[None] * n for _ in range(n)]
+    d = []
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            dj = fields[j] - shift
+            for k in range(j):
+                dj = dj - (L[j][k].real ** 2 + L[j][k].imag ** 2) * d[k]
+            d.append(dj)
+            for i in range(j + 1, n):
+                k = n + 2 * upper[(j, i)]
+                s = fields[k] - 1j * fields[k + 1]   # H_ij = conj(H_ji)
+                for m in range(j):
+                    s = s - L[i][m] * L[j][m].conj() * d[m]
+                L[i][j] = s / dj
+    return L, d
+
+
+def _inverse_coef(L, d):
+    """Coef-order fields of H^{-1} = M^H diag(1/d) M, M = L^{-1}, from the
+    factors of `_ldlh`: a^{ij} = sum over k of conj(M_ki) M_kj / d_k."""
+    n = len(d)
+    M = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            # forward substitution: M_ij = -sum over j <= k < i of L_ik M_kj
+            s = -L[i][j]
+            for k in range(j + 1, i):
+                s = s - L[i][k] * M[k][j]
+            M[i][j] = s
+    inv_d = [1.0 / dk for dk in d]
+    coef = []
     for i in range(n):
-        H[..., i, i] = fields[i]
-    for re, im, (i, j) in zip(fields[n::2], fields[n + 1::2], combinations(range(n), 2)):
-        H[..., i, j] = re + 1j * im
-        H[..., j, i] = re - 1j * im
-    return H
+        a = inv_d[i].copy()
+        for k in range(i + 1, n):
+            a += (M[k][i].real ** 2 + M[k][i].imag ** 2) * inv_d[k]
+        coef.append(a)
+    for i, j in combinations(range(n), 2):
+        a = M[j][i].conj() * inv_d[j]
+        for k in range(j + 1, n):
+            a += M[k][i].conj() * M[k][j] * inv_d[k]
+        coef += [np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)]
+    return tuple(coef)
+
+
+def _margin_ok(fields, n, guard):
+    """Nodes whose smallest eigenvalue exceeds `guard`: every pivot of
+    H - guard I is positive there (a nan pivot fails)."""
+    return np.logical_and.reduce([p > 0 for p in _ldlh(fields, n, guard)[1]])
 
 
 def _first_bad_node(ok_interior):
@@ -116,35 +168,34 @@ def _first_bad_node(ok_interior):
 def _checked_hessian(u: GridField, guard: float):
     """Interior FD complex Hessian of u, after the positive-definiteness guard.
 
-    Returns (H, spectrum).  For n = 2, H is the interior entry fields
-    (h11, h22, hre, him) and spectrum is their determinant; otherwise H
-    is the dense (interior..., n, n) stack and spectrum its ascending
-    eigenvalues.  Raises NotPlurisubharmonic at the first node where the
-    Hessian is not PD with margin `guard`.
+    Returns (H, pivots); log det of the Hessian is the sum of the logs of
+    the pivot fields.  For n = 2, H is the interior entry fields (h11,
+    h22, hre, him) and pivots is (det,); the guard is h11 > guard and
+    det > guard.  For n >= 3, H is the factor L and pivots are d of the
+    field-wise factorization Hessian = L diag(d) L^H (`_ldlh`); the
+    guard is `_margin_ok`, smallest eigenvalue > guard.  Raises
+    NotPlurisubharmonic at the first node where the guard fails.
     """
     dom = u.domain
     if dom.n == 2:
         core = _interior(dom.shape)
         H = tuple(f[core] for f in kernels.hessian_fields(u.values, dom.spacings))
         h11, h22, hre, him = H
-        spectrum = h11 * h22 - hre ** 2 - him ** 2
-        ok = (h11 > guard) & (spectrum > guard)
+        det = h11 * h22 - hre ** 2 - him ** 2
+        ok = (h11 > guard) & (det > guard)
     else:
-        H = _hessian_stack(tuple(hessian_interior(u.values, dom.spacings)), dom.n)
-        spectrum = np.linalg.eigvalsh(H)
-        ok = spectrum[..., 0] > guard
+        fields = tuple(hessian_interior(u.values, dom.spacings))
+        ok = _margin_ok(fields, dom.n, guard)
     if not np.all(ok):
         raise NotPlurisubharmonic(_first_bad_node(ok))
-    return H, spectrum
+    return (H, (det,)) if dom.n == 2 else _ldlh(fields, dom.n)
 
 
 def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> GridField:
     """Interior: log det(FD Hessian) - rhs.  Ring: u - boundary data."""
     shape = prob.domain.shape
-    _, spectrum = _checked_hessian(u, guard)
-    logdet = np.log(spectrum)
-    if prob.domain.n != 2:
-        logdet = np.sum(logdet, axis=-1)
+    _, pivots = _checked_hessian(u, guard)
+    logdet = sum(np.log(p) for p in pivots)
     out = np.empty(shape)
     core = _interior(shape)
     out[core] = logdet - prob.rhs.values[core]
@@ -189,15 +240,11 @@ class WirtingerOperator:
 def assemble_linearization(u: GridField, guard: float = 1e-12) -> WirtingerOperator:
     """Inverse FD Hessian coefficients at every interior node."""
     dom = u.domain
-    H, det = _checked_hessian(u, guard)
+    H, pivots = _checked_hessian(u, guard)
     if dom.n != 2:
-        a = np.linalg.inv(H)
-        coef = [np.ascontiguousarray(a[..., i, i].real) for i in range(dom.n)]
-        for i, j in combinations(range(dom.n), 2):
-            coef += [np.ascontiguousarray(a[..., i, j].real),
-                     np.ascontiguousarray(a[..., i, j].imag)]
-        return WirtingerOperator(dom, tuple(coef))
+        return WirtingerOperator(dom, _inverse_coef(H, pivots))
     h11, h22, hre, him = H
+    det, = pivots
     core = _interior(dom.shape)
     coef = tuple(np.zeros(dom.shape) for _ in range(4))
     for c, num in zip(coef, (h22, h11, -hre, -him)):

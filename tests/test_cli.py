@@ -40,6 +40,24 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["verify", "--config", missing, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv, config, key", [
+    (["verify", "--points", "10"], {"out": 5}, "out"),
+    (["verify", "--points", "10"], {"seed": [1]}, "seed"),
+    (["verify", "--points", "10"], {"eps": {"a": 1}}, "eps"),
+    (["probe"], {"p_list": 5}, "p_list"),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
+                                            argv, config, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    # no output file: only the config and, once out is a path, run.log
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "run.log"}
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     # run.log cannot be written below a regular file, not even its exit line
     blocker = tmp_path / "file"

@@ -1,3 +1,6 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -8,8 +11,9 @@ from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, sample
 from cmalab.kernels.fallback import hessian_interior
 from cmalab.solver import (DirichletProblem, NewtonConfig, _DstPreconditioner,
-                           _forcing, _hessian_stack, assemble_linearization,
-                           default_init, newton_solve, residual)
+                           _forcing, _inverse_coef, _ldlh, _margin_ok,
+                           assemble_linearization, default_init, newton_solve,
+                           residual)
 
 
 def box(points, n=2, hw=1.0):
@@ -27,6 +31,41 @@ def manufactured(points, eps=1.0, n=2):
     oracle = sample(dom, fam.value)
     rhs = GridField(dom, np.log(eval_rhs(fam, dom.node_coords_flat())).reshape(dom.shape))
     return DirichletProblem(dom, rhs, oracle), oracle
+
+
+def dense_stack(fields, n):
+    """(nodes..., n, n) complex matrix stack from coef-order fields."""
+    H = np.empty(fields[0].shape + (n, n), dtype=complex)
+    for i in range(n):
+        H[..., i, i] = fields[i]
+    for re, im, (i, j) in zip(fields[n::2], fields[n + 1::2], combinations(range(n), 2)):
+        H[..., i, j] = re + 1j * im
+        H[..., j, i] = re - 1j * im
+    return H
+
+
+def coef_fields(H):
+    """Coef-order real fields of a Hermitian (nodes..., n, n) stack."""
+    n = H.shape[-1]
+    fields = [np.ascontiguousarray(H[..., i, i].real) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        fields += [np.ascontiguousarray(H[..., i, j].real),
+                   np.ascontiguousarray(H[..., i, j].imag)]
+    return fields
+
+
+def random_pd_stack(n, nodes, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(nodes, n, n)) + 1j * rng.normal(size=(nodes, n, n))
+    return A @ A.conj().swapaxes(-1, -2) + 0.5 * np.eye(n)
+
+
+def first_bad_by_eigvalsh(u, guard=1e-12):
+    """The first failing interior node of the rule eigvalsh(H)[..., 0] > guard."""
+    fields = tuple(hessian_interior(u.values, u.domain.spacings))
+    ok = np.linalg.eigvalsh(dense_stack(fields, u.domain.n))[..., 0] > guard
+    idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
+    return tuple(int(i) + 1 for i in idx)
 
 
 def test_residual_squared_modulus():
@@ -64,6 +103,72 @@ def test_residual_rejects_concave():
         residual(u, prob)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fieldwise_ldlh_matches_lapack(n):
+    H = random_pd_stack(n, 500, seed=n)
+    fields = coef_fields(H)
+    L, d = _ldlh(fields, n)
+    logdet = sum(np.log(p) for p in d)
+    assert np.allclose(logdet, np.sum(np.log(np.linalg.eigvalsh(H)), axis=-1),
+                       rtol=0.0, atol=1e-12)
+    a = dense_stack(_inverse_coef(L, d), n)
+    assert np.allclose(a, np.linalg.inv(H), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("guard", [1e-12, 1e-3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fieldwise_guard_matches_eigvalsh(n, guard):
+    H = random_pd_stack(n, 200, seed=10 + n)
+    # diagonal nodes with smallest eigenvalue 2 guard and guard / 2
+    H[0] = np.diag([1.0] * (n - 1) + [2.0 * guard])
+    H[1] = np.diag([0.5 * guard] + [1.0] * (n - 1))
+    H[2, 0, 1] = H[2, 1, 0] = np.nan
+    H[3] *= -1.0
+    fields = coef_fields(H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok = _margin_ok(fields, n, guard)
+    # eigvalsh of a matrix with a nan entry gives nan, which fails the
+    # rule, or raises LinAlgError; so the rule runs on the finite nodes
+    finite = np.all(np.isfinite(H), axis=(-2, -1))
+    expected = np.zeros(len(H), dtype=bool)
+    expected[finite] = np.linalg.eigvalsh(H[finite])[..., 0] > guard
+    assert expected[0] and not expected[1] and not expected[2] and not expected[3]
+    assert np.array_equal(ok, expected)
+
+
+@pytest.mark.parametrize("kind", ["concave", "cubic"])
+def test_residual_rejects_non_psh_n3(kind):
+    dom = box(7, n=3)
+    c = dom.node_coords_flat()
+    if kind == "concave":
+        vals = -np.sum(c ** 2, axis=1)
+    else:
+        # u_{3 3bar} = 1 - 2.25 y3 with a cross term: fails at y3 = 2/3 only
+        vals = np.sum(c ** 2, axis=1) - 1.5 * c[:, 5] ** 3 + 0.5 * c[:, 0] * c[:, 2]
+    u = GridField(dom, vals.reshape(dom.shape))
+    prob = DirichletProblem(dom, GridField(dom, np.zeros(dom.shape)), u)
+    with pytest.raises(NotPlurisubharmonic) as exc:
+        residual(u, prob)
+    assert exc.value.node == first_bad_by_eigvalsh(u)
+    if kind == "cubic":
+        assert exc.value.node == (1, 1, 1, 1, 1, 5)
+
+
+def test_n3_paths_call_no_lapack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-node LAPACK call on the n >= 3 path")
+
+    prob, oracle = manufactured(7, n=3)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    assert np.all(np.isfinite(residual(oracle, prob).values))
+    op = assemble_linearization(oracle)
+    assert len(op.coef) == 9
+    init = default_init(prob)
+    assert np.all(np.isfinite(residual(init, prob).values))
+
+
 def test_problem_validation():
     dom = box(9)
     u = sq_modulus(dom)
@@ -98,14 +203,18 @@ def test_linearization_diagonal_inverse():
     assert np.allclose(op.coef[1][core], 2.0)
 
 
-def test_linearization_ellipticity():
-    prob, oracle = manufactured(9)
+@pytest.mark.parametrize("n, points", [(2, 9), (3, 7)])
+def test_linearization_ellipticity(n, points):
+    prob, oracle = manufactured(points, n=n)
     op = assemble_linearization(oracle)
     fields = tuple(hessian_interior(oracle.values, prob.domain.spacings))
-    H = _hessian_stack(fields, 2)
-    a = np.linalg.inv(H)
+    H = dense_stack(fields, n)
+    core = (slice(1, -1),) * (2 * n)
+    coef = op.coef if n > 2 else tuple(c[core] for c in op.coef)
+    a = dense_stack(coef, n)
+    assert np.allclose(a, np.linalg.inv(H), rtol=0.0, atol=1e-12)
     rng = np.random.default_rng(0)
-    xi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    xi = rng.normal(size=n) + 1j * rng.normal(size=n)
     quad = np.einsum("i,...ij,j->...", xi.conj(), a, xi).real
     lap = np.einsum("...ii->...", H).real
     assert np.all(quad * lap >= np.vdot(xi, xi).real - 1e-8)
@@ -156,7 +265,7 @@ def test_newton_manufactured_mesh_convergence():
 
 
 def test_newton_generic_dimension_path():
-    # ambient complex dimension 3 exercises the stacked-Hessian fallback
+    # ambient complex dimension 3 runs the field-wise LDL^H guard and inverse
     prob, oracle = manufactured(7, n=3)
     out = newton_solve(prob, NewtonConfig(tol_residual=1e-9, max_iters=15))
     assert out["final_residual"] <= 1e-9
