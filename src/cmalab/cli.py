@@ -89,11 +89,13 @@ class _Settings:
 
     def number(self, key: str, kind, default):
         """The setting converted by `kind` (int or float); ConfigError if
-        a config value does not convert."""
+        a config value does not convert or, for int, is not integral."""
         value = self.get(key, default)
         try:
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError
             return kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{key} must be a number ({kind.__name__}), "
                               f"got {value!r}") from None
 
@@ -242,16 +244,19 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
 
 def _cmd_probe(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
+    p_list = settings.floats("p_list", [1.0, 3.0])
+    use_laplacian = settings.get("use_laplacian", fam.kind == "blocki")
+    if not isinstance(use_laplacian, bool):
+        raise ConfigError(f"use_laplacian must be true or false, got {use_laplacian!r}")
     rows = []
     center = np.zeros(2 * fam.dim)
     radii = np.logspace(-4, -1, 10)
     fit = probe.holder_fit(fam, center, radii)
     rows.append(("holder_alpha", "", fit["alpha"]))
-    p_list = settings.floats("p_list", [1.0, 3.0])
     scan = probe.w2p_divergence_scan(
         fam, p_list,
         base_points=settings.number("base_points", int, 33),
-        use_laplacian=bool(settings.get("use_laplacian", fam.kind == "blocki")),
+        use_laplacian=use_laplacian,
         growth=settings.number("growth", float, math.sqrt(2.0)),
         refinements=settings.number("refinements", int, 3))
     for e in scan:

@@ -116,14 +116,14 @@ class GridDomain:
 
     def node_coords_flat(self) -> np.ndarray:
         """All node coordinates, shape (num_nodes, 2n), row-major axis order."""
-        grids = np.meshgrid(*[self.axis_coords(a) for a in range(self.center.size)], indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        slabs = _Slabs(self)
+        return slabs.write(0, slabs.rows, np.empty((self.num_nodes, self.center.size)))
 
     def excluded_mask(self) -> np.ndarray:
         """Boolean array over the grid, True where a node is excluded from norms."""
         mask = np.zeros(self.shape, dtype=bool)
         if self.excluded_tube_radius > 0:
-            r2 = np.zeros(self.shape)
+            r2 = 0.0   # spans the singular axes only, by broadcasting
             for a in self.singular_axes:
                 coords = self.axis_coords(a)
                 sl = [None] * len(self.shape)
@@ -154,18 +154,73 @@ class GridField:
             raise NonFiniteSample(idx, float(v[idx]))
 
 
+# nodes per slab of `sample`: the coordinates of one slab stay in cache
+# and the full (num_nodes, 2n) coordinate array is never built
+_SLAB_NODES = 1 << 16
+
+
+class _Slabs:
+    """The nodes of a domain in row-major order, cut into rows of the
+    trailing block: the last axes whose node count stays within
+    _SLAB_NODES (at least the last axis).  A slab is a range of rows."""
+
+    def __init__(self, domain: GridDomain):
+        shape = domain.shape
+        t = 1
+        while t < len(shape) and math.prod(shape[-t - 1:]) <= _SLAB_NODES:
+            t += 1
+        self.lead_shape = shape[:-t]
+        self.block_shape = shape[-t:]
+        self.block = math.prod(self.block_shape)
+        self.rows = math.prod(self.lead_shape)
+        self.rows_per_slab = max(1, _SLAB_NODES // self.block)
+        self.axes = [domain.axis_coords(a) for a in range(len(shape))]
+
+    def write(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Coordinates of rows [start, stop) into out, shape (M, 2n) with
+        M = (stop - start) * block; the same numbers as a meshgrid would hold."""
+        lead = len(self.lead_shape)
+        view = out.reshape((stop - start,) + self.block_shape + (len(self.axes),))
+        idx = np.unravel_index(np.arange(start, stop), self.lead_shape) if lead else ()
+        tail = (1,) * len(self.block_shape)
+        for a, coords in enumerate(self.axes):
+            if a < lead:
+                view[..., a] = coords[idx[a]].reshape((-1,) + tail)
+            else:
+                bshape = [1] * (1 + len(self.block_shape))
+                bshape[1 + a - lead] = -1
+                view[..., a] = coords.reshape(bshape)
+        return out
+
+
 def sample(domain: GridDomain, f) -> GridField:
     """Evaluate f on every node.  f may accept an (M, 2n) coordinate array
     (vectorized fast path) or a single point.  Non-finite values are only
     tolerated inside the excluded tube, where nodes are flagged invalid.
+
+    f sees one slab of about _SLAB_NODES nodes at a time, in row-major
+    order, so f must be row-wise; if a slab's vectorized call fails or
+    returns the wrong shape, that slab and every later one are evaluated
+    point by point.
     """
-    coords = domain.node_coords_flat()
-    try:
-        vals = np.asarray(f(coords), dtype=float)
-        if vals.shape != (coords.shape[0],):
-            raise TypeError
-    except (TypeError, ValueError, IndexError):
-        vals = np.array([float(f(coords[i])) for i in range(coords.shape[0])])
+    slabs = _Slabs(domain)
+    vals = np.empty(domain.num_nodes)
+    buf = np.empty((min(slabs.rows_per_slab, slabs.rows) * slabs.block, domain.center.size))
+    vectorized = True
+    for start in range(0, slabs.rows, slabs.rows_per_slab):
+        stop = min(start + slabs.rows_per_slab, slabs.rows)
+        lo, hi = start * slabs.block, stop * slabs.block
+        coords = slabs.write(start, stop, buf[:hi - lo])
+        if vectorized:
+            try:
+                part = np.asarray(f(coords), dtype=float)
+                if part.shape != (hi - lo,):
+                    raise TypeError
+                vals[lo:hi] = part
+                continue
+            except (TypeError, ValueError, IndexError):
+                vectorized = False
+        vals[lo:hi] = [float(f(coords[i])) for i in range(hi - lo)]
     vals = vals.reshape(domain.shape)
     finite = np.isfinite(vals)
     if not np.all(finite):

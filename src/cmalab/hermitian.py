@@ -54,7 +54,8 @@ class HermitianForm:
 
 def herm_det(h: HermitianForm) -> float:
     """Determinant of a Hermitian matrix; the imaginary residue is discarded."""
-    d = np.linalg.det(h.entries)
+    with np.errstate(invalid="ignore"):  # a nan entry is refused below
+        d = np.linalg.det(h.entries)
     scale = max(abs(d), 1.0)
     if not abs(d.imag) <= 1e-12 * scale:  # also refuses a nan determinant
         raise IdentityViolated(f"Hermitian determinant {complex(d)} is not real")

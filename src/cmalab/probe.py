@@ -108,15 +108,17 @@ def _scan_domain(f: SolutionFamily, points_singular: int, points_regular: int = 
                       excluded_tube_radius=2.0 * h, singular_axes=singular_axes)
 
 
-def _mass(field, p: float) -> float:
-    """Trapezoid-rule integral of |field|^p over the valid, non-excluded
-    nodes.  Boundary-ring nodes carry zero weight and the next ring gets
-    half weight, so the quadrature covers a fixed box independent of h."""
+def _mass_terms(field):
+    """|field| and the trapezoid weights of its integral, both zero off the
+    valid, non-excluded nodes, so that sum(|field|^p * weights) is the
+    integral of |field|^p for every p > 0.  Boundary-ring nodes carry zero
+    weight and the next ring gets half weight, so the quadrature covers a
+    fixed box independent of h."""
     dom = field.domain
     keep = ~dom.excluded_mask()
     if field.valid is not None:
         keep = keep & field.valid
-    w = np.ones(dom.shape)
+    w = 1.0   # grows by broadcasting to the full grid at the last axis
     for a, (cnt, h) in enumerate(zip(dom.shape, dom.spacings)):
         wa = np.full(cnt, h)
         wa[0] = wa[-1] = 0.0
@@ -124,7 +126,25 @@ def _mass(field, p: float) -> float:
         shape = [1] * len(dom.shape)
         shape[a] = cnt
         w = w * wa.reshape(shape)
-    return float(np.sum(np.where(keep, np.abs(field.values) ** p * w, 0.0)))
+    drop = ~keep
+    w[drop] = 0.0
+    magnitude = np.abs(field.values)
+    magnitude[drop] = 0.0
+    return magnitude, w
+
+
+def _refinement_masses(f: SolutionFamily, points_singular: int, p_list,
+                       use_laplacian: bool, half_width: float) -> list:
+    """The integral of |observable|^p on one scan grid, for each p."""
+    dom = _scan_domain(f, points_singular, half_width=half_width)
+    observable = complex_laplacian_fd if use_laplacian else second_derivative_magnitude
+    magnitude, weights = _mass_terms(observable(sample(dom, lambda pts: eval_value(f, pts))))
+    masses = []
+    for p in p_list:
+        integrand = magnitude ** p
+        integrand *= weights
+        masses.append(np.sum(integrand))
+    return masses
 
 
 def _verdict(slope: float) -> str:
@@ -147,26 +167,19 @@ def w2p_divergence_scan(f: SolutionFamily, p_list, refinements: int = 3,
     complex Laplacian (the scan used for the blocki family).
     """
     p_list = sorted(float(p) for p in p_list)
+    if any(not p > 0 for p in p_list):
+        raise ValueError("p must be positive")
     counts = [base_points]
     for _ in range(refinements - 1):
         counts.append(int(round((counts[-1] - 1) * growth)) + 1)
-    observables = []
-    spacings = []
-    for cnt in counts:
-        dom = _scan_domain(f, cnt, half_width=half_width)
-        u = sample(dom, lambda pts: eval_value(f, pts))
-        if use_laplacian:
-            obs = complex_laplacian_fd(u)
-        else:
-            obs = second_derivative_magnitude(u)
-        observables.append(obs)
-        spacings.append(2.0 * half_width / (cnt - 3))
+    masses = np.array([_refinement_masses(f, cnt, p_list, use_laplacian, half_width)
+                       for cnt in counts]).T
+    spacings = [2.0 * half_width / (cnt - 3) for cnt in counts]
     entries = []
     log_h = np.log(np.array(spacings))
-    for p in p_list:
-        masses = np.array([_mass(obs, p) for obs in observables])
-        slope = float(np.polyfit(log_h, np.log(masses), 1)[0])
-        vals = tuple(float(m) ** (1.0 / p) for m in masses)
+    for p, row in zip(p_list, masses):
+        slope = float(np.polyfit(log_h, np.log(row), 1)[0])
+        vals = tuple(float(m) ** (1.0 / p) for m in row)
         entries.append(ScanEntry(p=p, slope=slope, verdict=_verdict(slope),
                                  values=vals, spacings=tuple(spacings)))
     return entries

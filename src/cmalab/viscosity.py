@@ -143,6 +143,8 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
     u = _limit_family(u)
     p0 = as_point(p0)
     _check_base(u, p0)
+    if attempts < 0:
+        raise ValueError("attempts must be nonnegative")
     rng = np.random.default_rng(seed)
     value = eval_value(u, p0)
     dim = p0.size
@@ -150,27 +152,67 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
     scan_u = eval_value(u, scan)
     ball = _ball_points(p0, radius, samples, rng)
     ball_u = eval_value(u, ball)
-    found = False
-    best_violation = 0.0
-    witnesses = 0
-    for _ in range(attempts):
+    grads = np.empty((attempts, dim))
+    hessians = np.empty((attempts, dim, dim))
+    for k in range(attempts):
         scale = 10.0 ** rng.uniform(-1.0, 6.0)
-        g = rng.normal(size=dim) * 10.0 ** rng.uniform(-2.0, 1.0)
+        grads[k] = rng.normal(size=dim) * 10.0 ** rng.uniform(-2.0, 1.0)
         H = rng.normal(size=(dim, dim)) * scale
-        q = QuadraticJet(p0, value, g, H + H.T)
-        margin = scan_u - q(scan)  # > 0 where the cone beats the jet
-        witness = float(np.max(margin))
-        if witness > 1e-12:
-            witnesses += 1
-            best_violation = max(best_violation, witness)
-            continue
-        # no witness on the scan: only counts as touching if it dominates
-        # u0 on the sampled ball away from the base point
-        if np.all(q(ball) - ball_u >= -1e-12):
-            found = True
+        hessians[k] = H + H.T
+
+    def jet(k):
+        return QuadraticJet(p0, value, grads[k], hessians[k])
+
+    def exact_witness(k):
+        return float(np.max(scan_u - jet(k)(scan)))
+
+    witness, slack = _batched_witnesses(scan - p0, scan_u, value, grads, hessians)
+    # the batched max lies within `slack` of the jet's own; settle every
+    # attempt that the difference could move across the 1e-12 cut
+    for k in np.flatnonzero(np.abs(witness - 1e-12) <= slack):
+        witness[k] = exact_witness(k)
+        slack[k] = 0.0
+    is_witness = witness > 1e-12
+    best_violation = 0.0
+    if np.any(is_witness):
+        floor = np.max((witness - slack)[is_witness])
+        for k in np.flatnonzero(is_witness & (witness + slack >= floor)):
+            best_violation = max(best_violation, exact_witness(k))
+    # no witness on the scan: only counts as touching if it dominates
+    # u0 on the sampled ball away from the base point
+    found = any(np.all(jet(k)(ball) - ball_u >= -1e-12)
+                for k in np.flatnonzero(~is_witness))
     return {
         "found": found,
         "best_violation": best_violation,
         "attempts": attempts,
-        "witnesses": witnesses,
+        "witnesses": int(np.sum(is_witness)),
     }
+
+
+# attempts evaluated per matrix product in `_batched_witnesses`
+_JET_BLOCK = 500
+
+
+def _batched_witnesses(dx, target, const, grads, sym_hessians):
+    """max over the rows of dx of target - q_k for every jet q_k with the
+    given gradient and Hessian H + H^T (halved by symmetrization, as
+    QuadraticJet does), and for each a bound on its gap to the value
+    QuadraticJet.__call__ gives.  One product (dx outer dx) @ Hessians
+    per block of jets replaces a three-operand einsum per jet."""
+    count, dim = grads.shape
+    hess = 0.5 * (sym_hessians + sym_hessians.transpose(0, 2, 1))
+    outer = (dx[:, :, None] * dx[:, None, :]).reshape(dx.shape[0], dim * dim)
+    witness = np.empty(count)
+    for lo in range(0, count, _JET_BLOCK):
+        hi = min(lo + _JET_BLOCK, count)
+        quad = outer @ hess[lo:hi].reshape(hi - lo, dim * dim).T
+        q = const + dx @ grads[lo:hi].T + 0.5 * quad
+        witness[lo:hi] = np.max(target[:, None] - q, axis=0)
+    # both evaluations round sums of at most dim^2 + 4 terms bounded by
+    # |target| + |const| + a |g|_1 + a^2 |H|_1 / 2, a = max |dx|
+    a = float(np.max(np.abs(dx)))
+    size = (float(np.max(np.abs(target))) + abs(const) + a * np.sum(np.abs(grads), axis=1)
+            + 0.5 * a * a * np.sum(np.abs(hess), axis=(1, 2)))
+    slack = 4.0 * (dim * dim + 4) * np.finfo(float).eps * size
+    return witness, slack

@@ -45,6 +45,11 @@ def test_bad_config_exits_2(tmp_path):
     (["verify", "--points", "10"], {"seed": [1]}, "seed"),
     (["verify", "--points", "10"], {"eps": {"a": 1}}, "eps"),
     (["probe"], {"p_list": 5}, "p_list"),
+    (["verify"], {"points": 10.7}, "points"),
+    (["verify"], {"points": float("inf")}, "points"),
+    (["verify"], {"points": float("nan")}, "points"),
+    (["probe"], {"use_laplacian": "false"}, "use_laplacian"),
+    (["probe"], {"use_laplacian": 0}, "use_laplacian"),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
                                             argv, config, key):
@@ -56,6 +61,25 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
     assert err.startswith("error: ") and key in err
     # no output file: only the config and, once out is a path, run.log
     assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "run.log"}
+
+
+def test_integral_float_setting_is_the_integer(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 10.0}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "verify.json")["points"] == 10
+
+
+def test_use_laplacian_switches_the_observable(tmp_path):
+    scans = []
+    for value in (False, True):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"use_laplacian": value}))
+        out = tmp_path / str(value)
+        assert main(["probe", "--config", str(cfg), "--out", str(out),
+                     "--base-points", "9", "--refinements", "2"]) == 0
+        scans.append(read_json(out / "probe.json")["w2p_scan"])
+    assert scans[0] != scans[1]
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

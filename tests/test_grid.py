@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cmalab import grid
 from cmalab.errors import BoundaryNode, GridTooLarge, NonFiniteSample
-from cmalab.families import SolutionFamily, eval_analytic_hessian
+from cmalab.families import SolutionFamily, eval_analytic_hessian, eval_value
 from cmalab.grid import (GridDomain, GridField, _second_diff, complex_hessian_fd,
                          complex_laplacian_fd, field_from_csv, field_to_csv,
                          lp_norm, real_hessian_fd, sample,
@@ -57,6 +58,77 @@ def test_sample_tolerates_nonfinite_in_tube():
     u = sample(dom, f)
     assert not np.all(u.valid)
     assert np.all(u.valid | dom.excluded_mask())
+
+
+def meshgrid_coords(dom):
+    grids = np.meshgrid(*[dom.axis_coords(a) for a in range(2 * dom.n)], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def scan_box():
+    # a W^{2,p} scan layout: coarse regular axes, fine singular ones
+    return GridDomain(np.full(6, 0.1), np.full(6, 1.0), (5, 5, 5, 5, 21, 23),
+                      excluded_tube_radius=0.2)
+
+
+@pytest.mark.parametrize("slab_nodes", [None, 100, 7])
+def test_node_coords_flat_equals_meshgrid(monkeypatch, slab_nodes):
+    if slab_nodes is not None:
+        monkeypatch.setattr(grid, "_SLAB_NODES", slab_nodes)
+    for dom in (scan_box(), box(9), box(300, n=1), GridDomain([0.5, -1.0], [1.0, 2.0], (3, 4))):
+        assert np.array_equal(dom.node_coords_flat(), meshgrid_coords(dom))
+
+
+@pytest.mark.parametrize("slab_nodes", [None, 1000, 7])
+def test_sample_slabs_equal_one_call(monkeypatch, slab_nodes):
+    if slab_nodes is not None:
+        monkeypatch.setattr(grid, "_SLAB_NODES", slab_nodes)
+    dom = scan_box()
+    assert dom.num_nodes > 2 * grid._SLAB_NODES   # several slabs
+    for fam in (SolutionFamily("theorem_v", 3, 0.0), SolutionFamily("pogorelov_n", 3, 0.3)):
+        u = sample(dom, lambda pts: eval_value(fam, pts))
+        ref = eval_value(fam, meshgrid_coords(dom)).reshape(dom.shape)
+        assert np.array_equal(u.values, ref)
+        assert u.valid is None
+
+
+def test_sample_point_fallback(monkeypatch):
+    monkeypatch.setattr(grid, "_SLAB_NODES", 500)
+    dom = box(7)
+
+    def pointwise(p):
+        p = np.asarray(p)
+        if p.ndim != 1:
+            raise TypeError("one point at a time")
+        return float(np.sum(p * p))
+
+    def wrong_shape(p):
+        return float(np.sum(np.asarray(p) ** 2))   # a scalar for a whole slab
+
+    ref = np.sum(meshgrid_coords(dom) ** 2, axis=1).reshape(dom.shape)
+    for f in (pointwise, wrong_shape):
+        assert np.array_equal(sample(dom, f).values, ref)
+
+
+def test_sample_nonfinite_first_node_and_tube(monkeypatch):
+    monkeypatch.setattr(grid, "_SLAB_NODES", 100)
+    dom = box(9, excluded_tube_radius=0.3)
+    coords = meshgrid_coords(dom).reshape(dom.shape + (4,))
+    bad = [(6, 2, 0, 8), (1, 5, 7, 0), (4, 4, 4, 4)]   # 2nd first in row-major
+
+    def f(pts):
+        out = np.ones(len(pts))
+        for node in bad:
+            out[np.all(pts == coords[node], axis=1)] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteSample) as err:
+        sample(dom, f)
+    assert err.value.node == (1, 5, 7, 0)
+    bad = [(4, 4, 4, 4), (0, 8, 4, 4)]   # both inside the tube |w| < 0.3
+    u = sample(dom, f)
+    assert [tuple(i) for i in np.argwhere(~u.valid)] == sorted(bad)
+    assert u.values[4, 4, 4, 4] == 0.0 and u.values[0, 8, 4, 4] == 0.0
 
 
 def test_real_hessian_on_quadratic():

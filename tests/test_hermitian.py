@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,9 +52,12 @@ def test_inverse_singular():
 
 
 def test_det_rejects_nan():
-    # a raised error, not an assert that vanishes under python -O
-    with pytest.raises(IdentityViolated):
-        herm_det(HermitianForm([[np.nan, 0.0], [0.0, 1.0]]))
+    # a raised error, not an assert that vanishes under python -O, and no
+    # numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IdentityViolated):
+            herm_det(HermitianForm([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_unitary_invariance_of_det():

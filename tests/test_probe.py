@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
+from cmalab import probe
 from cmalab.families import SolutionFamily
+from cmalab.grid import complex_laplacian_fd, sample, second_derivative_magnitude
 from cmalab.probe import (convergence_study, holder_fit,
                           rhs_lipschitz_scaling, w2p_divergence_scan)
 
@@ -45,6 +49,42 @@ def test_w2p_verdicts_monotone_in_p():
         if e.verdict == "divergent":
             seen_divergent = True
         assert not (seen_divergent and e.verdict == "bounded")
+
+
+def test_mass_terms_equal_masked_trapezoid_sum():
+    fam = SolutionFamily("theorem_v", 3, 0.0)
+    dom = probe._scan_domain(fam, 13)
+    u = sample(dom, fam.value)
+    axes = []
+    for cnt, h in zip(dom.shape, dom.spacings):
+        wa = np.full(cnt, h)
+        wa[0] = wa[-1] = 0.0
+        wa[1] = wa[-2] = 0.5 * h
+        axes.append(wa)
+    w = functools.reduce(np.multiply.outer, axes)
+    for obs in (second_derivative_magnitude(u), complex_laplacian_fd(u)):
+        keep = ~dom.excluded_mask() & obs.valid
+        assert not np.all(keep)
+        magnitude, weights = probe._mass_terms(obs)
+        for p in (0.5, 2.0, 12.0):
+            # the same terms in the same order: equal to the bit
+            assert np.sum(magnitude ** p * weights) == \
+                np.sum(np.where(keep, np.abs(obs.values) ** p * w, 0.0))
+
+
+def test_mass_terms_ignore_values_at_invalid_nodes():
+    fam = SolutionFamily("pogorelov2", 2, 0.0)
+    obs = second_derivative_magnitude(sample(probe._scan_domain(fam, 13), fam.value))
+    values = obs.values.copy()
+    values[0, 0, 0, 0] = np.inf      # a boundary-ring node, never valid
+    magnitude, weights = probe._mass_terms(type(obs)(obs.domain, values, obs.valid))
+    assert np.isfinite(np.sum(magnitude ** 12.0 * weights))
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0])
+def test_w2p_scan_rejects_nonpositive_p(p):
+    with pytest.raises(ValueError):
+        w2p_divergence_scan(SolutionFamily("pogorelov2", 2), [1.0, p])
 
 
 def test_lipschitz_scaling_law():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cmalab import viscosity
 from cmalab.errors import BasePointOffSingularSet
-from cmalab.families import SolutionFamily
+from cmalab.families import SolutionFamily, eval_value
 from cmalab.hermitian import HermitianForm
 from cmalab.viscosity import (QuadraticJet, check_touch_below,
                               complex_hessian_of_jet, g_operator,
@@ -124,3 +125,95 @@ def test_search_touch_above_finds_witnesses():
         assert not out["found"]
         assert out["witnesses"] == 100
         assert out["best_violation"] > 0
+
+
+def reference_search(u, p0, radius, attempts, seed, samples=2000):
+    """search_touch_above as one QuadraticJet per attempt."""
+    p0 = np.asarray(p0, dtype=float)
+    rng = np.random.default_rng(seed)
+    value = viscosity.eval_value(u, p0)
+    scan = viscosity._w_axis_scan(u, p0, radius)
+    scan_u = viscosity.eval_value(u, scan)
+    ball = viscosity._ball_points(p0, radius, samples, rng)
+    ball_u = viscosity.eval_value(u, ball)
+    found, best, witnesses = False, 0.0, 0
+    for _ in range(attempts):
+        scale = 10.0 ** rng.uniform(-1.0, 6.0)
+        g = rng.normal(size=p0.size) * 10.0 ** rng.uniform(-2.0, 1.0)
+        H = rng.normal(size=(p0.size, p0.size)) * scale
+        q = QuadraticJet(p0, value, g, H + H.T)
+        witness = float(np.max(scan_u - q(scan)))
+        if witness > 1e-12:
+            witnesses += 1
+            best = max(best, witness)
+        elif np.all(q(ball) - ball_u >= -1e-12):
+            found = True
+    return {"found": found, "best_violation": best, "attempts": attempts,
+            "witnesses": witnesses}
+
+
+@pytest.mark.parametrize("kind, dim", [("pogorelov2", 2), ("pogorelov_n", 3)])
+def test_search_touch_above_equals_per_jet_loop(kind, dim):
+    u0 = SolutionFamily(kind, dim, 0.0)
+    for x, y in ((0.0, 0.0), (0.3, 0.0), (-0.5, 0.1)):
+        base = np.array([x, y] + [0.0] * (2 * dim - 2))
+        for seed in (1, 2):
+            out = search_touch_above(u0, base, radius=0.1, attempts=200, seed=seed)
+            assert out == reference_search(u0, base, 0.1, 200, seed)
+
+
+def test_search_touch_above_near_the_cut(monkeypatch):
+    # a steep concave stand-in for u0 puts the scan maxima of the jets on
+    # both sides of the 1e-12 cut and lets some jets pass the ball test
+    def concave(u, pts):
+        return -1e9 * np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)
+
+    monkeypatch.setattr(viscosity, "eval_value", concave)
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    for seed in (0, 1):
+        out = search_touch_above(u0, np.zeros(4), radius=0.1, attempts=200, seed=seed)
+        assert out == reference_search(u0, np.zeros(4), 0.1, 200, seed)
+        assert out["found"] and 0 < out["witnesses"] < 200
+
+
+def test_search_touch_above_trusts_batched_values_only_outside_the_slack(monkeypatch):
+    # move every batched maximum by 90% of its declared slack, up and down
+    # in turn: the results must still be those of the per-jet loop
+    batched = viscosity._batched_witnesses
+
+    def shifted(*args):
+        witness, slack = batched(*args)
+        return witness + 0.9 * slack * np.resize([1.0, -1.0], witness.size), slack
+
+    def concave(u, pts):
+        return -1e9 * np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)
+
+    monkeypatch.setattr(viscosity, "_batched_witnesses", shifted)
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    base = np.array([0.3, 0.0, 0.0, 0.0])
+    assert search_touch_above(u0, base, radius=0.1, attempts=200, seed=1) == \
+        reference_search(u0, base, 0.1, 200, 1)
+    monkeypatch.setattr(viscosity, "eval_value", concave)
+    assert search_touch_above(u0, base, radius=0.1, attempts=200, seed=1) == \
+        reference_search(u0, base, 0.1, 200, 1)
+
+
+def test_batched_witness_slack_covers_the_jet_value():
+    rng = np.random.default_rng(5)
+    u0 = SolutionFamily("pogorelov_n", 3, 0.0)
+    p0 = np.array([0.2, -0.1, 0.0, 0.3, 0.0, 0.0])
+    scan = viscosity._w_axis_scan(u0, p0, 0.1)
+    target = eval_value(u0, scan)
+    grads = rng.normal(size=(50, 6))
+    sym = rng.normal(size=(50, 6, 6)) * 1e5
+    sym = sym + sym.transpose(0, 2, 1)
+    witness, slack = viscosity._batched_witnesses(scan - p0, target, 0.0, grads, sym)
+    for k in range(50):
+        q = QuadraticJet(p0, 0.0, grads[k], sym[k])
+        assert abs(witness[k] - np.max(target - q(scan))) <= slack[k]
+
+
+def test_search_touch_above_rejects_negative_attempts():
+    with pytest.raises(ValueError):
+        search_touch_above(SolutionFamily("pogorelov2", 2, 0.0), np.zeros(4),
+                           radius=0.1, attempts=-1)
