@@ -189,9 +189,10 @@ def _cmd_hessian(settings: _Settings, out_dir: str, seed: int) -> int:
 
 
 def _log_inner_solves(out_dir: str, result: dict) -> None:
-    """BiCGStab info code (0: inner tolerance met) and preconditioner-solve
-    count of each Newton iteration."""
-    for key in ("inner_info", "psolves"):
+    """BiCGStab info code (0: inner tolerance met), preconditioner-solve
+    count, line-search halvings and non-plurisubharmonic rejections of
+    each Newton iteration."""
+    for key in ("inner_info", "psolves", "halvings", "psh_rejects"):
         _log(out_dir, f"{key}=" + ",".join(str(c) for c in result[key]))
 
 

@@ -82,6 +82,13 @@ class NewtonConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        # a zero step floor would let alpha halve to 0.0 and retry forever
+        if not (math.isfinite(self.min_step) and self.min_step > 0):
+            raise ValueError("min_step must be finite and positive")
+        if not (math.isfinite(self.psd_guard) and self.psd_guard >= 0):
+            raise ValueError("psd_guard must be finite and >= 0")
+        if self.inner_maxiter < 1:
+            raise ValueError("inner_maxiter must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -352,26 +359,54 @@ def _harmonic_lift(domain: GridDomain, ring_values: np.ndarray,
     return out
 
 
+def _bubble(domain: GridDomain, workers: int = None) -> np.ndarray:
+    """Zero-ring solution b of Δ_h b = 4n, the 3-point real Laplacian.
+
+    Δ_h is exact on quadratics, Δ_h |x|^2 = 4n, so b = |x|^2 - lift(|x|^2)
+    up to rounding: the amount by which a unit raise of the quadratic
+    coefficient moves a quadratic-plus-lift candidate.  One direct
+    float64 solve, as in `_harmonic_lift`."""
+    inner = tuple(s - 2 for s in domain.shape)
+    pre = _DstPreconditioner(domain, [2.0] * domain.n, workers)
+    out = np.zeros(domain.shape)
+    # the surrogate is half of -Δ_h: -Δ_h b = -4n gives b = 0.5 solve(-4n)
+    out[_interior(domain.shape)] = 0.5 * pre.solve(
+        np.full(inner, -4.0 * domain.n)).reshape(inner)
+    return out
+
+
 def default_init(prob: DirichletProblem, guard: float = 1e-12,
                  max_raises: int = 12, workers: int = None) -> GridField:
     """Quadratic boundary fit plus harmonic lift of the mismatch; the
     quadratic coefficient is raised until the FD Hessians are PD.
-    `workers` threads run the lift's sine transforms (None: all cores)."""
+
+    The first candidate is u0 = q_{c0} + lift(g - q_{c0}), c0 the fitted
+    coefficient (at least 0.25).  The lift is linear in the ring data,
+    so the candidate of coefficient c is u0 + (c - c0) b with b the
+    `_bubble`: at most two direct solves per call, whatever the number
+    of raises.  c doubles up to `max_raises` candidates in all.
+    `workers` threads run the sine transforms (None: all cores)."""
+    if max_raises < 1:
+        raise ValueError("max_raises must be >= 1")
     dom = prob.domain
     beta = _quadratic_fit(dom, prob.boundary)
-    c = max(float(beta[0]), 0.25)
-    for _ in range(max_raises):
-        b = beta.copy()
-        b[0] = c
-        quad = _quadratic_values(dom, b)
-        mismatch = prob.boundary.values - quad
-        vals = quad + _harmonic_lift(dom, mismatch, workers)
+    c0 = c = max(float(beta[0]), 0.25)
+    beta[0] = c0
+    quad = _quadratic_values(dom, beta)
+    u0 = quad + _harmonic_lift(dom, prob.boundary.values - quad, workers)
+    vals = u0
+    for k in range(max_raises):
+        if k > 0:
+            if k == 1:
+                bubble = _bubble(dom, workers)
+            c *= 2.0
+            vals = u0 + (c - c0) * bubble
         u = GridField(dom, vals)
         try:
             _checked_hessian(u, guard)
             return u
         except NotPlurisubharmonic:
-            c *= 2.0
+            pass
     raise NotPlurisubharmonic(
         "no plurisubharmonic default initialization found; supply init=")
 
@@ -402,7 +437,9 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     final_residual, residual history, and per outer iteration the
     inner-iteration count (BiCGStab callbacks), the BiCGStab info code
     (nonzero: the inner solve stopped short of its tolerance, yet its
-    finite step was used) and `psolves`, the preconditioner-solve count.
+    finite step was used), `psolves`, the preconditioner-solve count,
+    and per accepted line search `halvings`, its step halvings, of which
+    `psh_rejects` rejected a candidate that was not plurisubharmonic.
     Raises NonConverged (carrying the best iterate) if max_iters is
     exhausted above tolerance.
     """
@@ -421,6 +458,8 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     inner_counts = []
     inner_info = []
     psolves = []
+    halvings = []
+    psh_rejects = []
     iterations = 0
     for _ in range(cfg.max_iters):
         if res_norm <= cfg.tol_residual:
@@ -456,26 +495,31 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         if info != 0 and not np.all(np.isfinite(d)):
             raise NonConverged({"reason": "inner solve failed", "iterations": iterations,
                                 "final_residual": res_norm, "inner_info": inner_info,
-                                "psolves": psolves})
+                                "psolves": psolves, "halvings": halvings,
+                                "psh_rejects": psh_rejects})
         step = np.zeros(shape)
         step[core] = d.reshape(tuple(s - 2 for s in shape))
         alpha = 1.0
         accepted = None
+        halved = rejected = 0
         while alpha >= cfg.min_step:
             cand = GridField(dom, u + alpha * step)
             try:
                 cand_res = residual(cand, prob, cfg.psd_guard)
             except NotPlurisubharmonic:
-                alpha *= 0.5
-                continue
-            cand_norm = float(np.max(np.abs(cand_res.values)))
-            if cand_norm < res_norm:
-                accepted = (cand, cand_res, cand_norm)
-                break
+                rejected += 1
+            else:
+                cand_norm = float(np.max(np.abs(cand_res.values)))
+                if cand_norm < res_norm:
+                    accepted = (cand, cand_res, cand_norm)
+                    break
             alpha *= 0.5
+            halved += 1
         if accepted is None:
             raise NotPlurisubharmonic(
                 "line search found no feasible decreasing step")
+        halvings.append(halved)
+        psh_rejects.append(rejected)
         cur, res, res_norm = accepted
         u = cur.values
         history.append(res_norm)
@@ -487,6 +531,8 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         "inner_iterations": inner_counts,
         "inner_info": inner_info,
         "psolves": psolves,
+        "halvings": halvings,
+        "psh_rejects": psh_rejects,
     }
     if res_norm > cfg.tol_residual:
         raise NonConverged(result)

@@ -160,6 +160,10 @@ def test_solve_inner_solve_failure_writes_failure(tmp_path, monkeypatch):
     detail = read_json(os.path.join(out, "failure.json"))["detail"]
     assert detail["iterations"] == 1
     assert detail["final_residual"] > 0
+    # the step that failed made no line search
+    with open(os.path.join(out, "run.log")) as f:
+        lines = [ln.split(" ", 1)[1] for ln in f.read().splitlines()]
+    assert {"inner_info=1", "psolves=0", "halvings=", "psh_rejects="} <= set(lines)
 
 
 def test_solve_logs_inner_info(tmp_path, monkeypatch):
@@ -183,6 +187,20 @@ def test_solve_logs_inner_info(tmp_path, monkeypatch):
     counts = [int(c) for c in psolves[0][len("psolves="):].split(",")]
     assert len(counts) == report["iterations"] and all(c >= 1 for c in counts)
     assert "psolves" not in report
+
+
+def test_solve_logs_line_search_halvings(tmp_path):
+    out = str(tmp_path)
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9"]) == 0
+    report = read_json(os.path.join(out, "report.json"))
+    with open(os.path.join(out, "run.log")) as f:
+        lines = f.read().splitlines()
+    for key in ("halvings", "psh_rejects"):
+        logged = [ln.split(" ", 1)[1] for ln in lines if f" {key}=" in ln]
+        assert len(logged) == 1
+        counts = [int(c) for c in logged[0][len(key) + 1:].split(",")]
+        assert len(counts) == report["iterations"] and all(c >= 0 for c in counts)
+        assert key not in report
 
 
 def test_solve_grid_above_max_nodes_exits_2(tmp_path, capsys):

@@ -6,14 +6,15 @@ import pytest
 import scipy.fft as sfft
 import scipy.sparse.linalg as spla
 
+from cmalab import solver
 from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
-from cmalab.grid import GridDomain, GridField, sample
+from cmalab.grid import GridDomain, GridField, _second_diff, sample
 from cmalab.kernels.fallback import hessian_interior
-from cmalab.solver import (DirichletProblem, NewtonConfig, _DstPreconditioner,
-                           _forcing, _inverse_coef, _ldlh, _margin_ok,
-                           assemble_linearization, default_init, newton_solve,
-                           residual)
+from cmalab.solver import (DirichletProblem, NewtonConfig, _bubble, _DstPreconditioner,
+                           _forcing, _harmonic_lift, _inverse_coef, _ldlh, _margin_ok,
+                           _quadratic_fit, _quadratic_values, assemble_linearization,
+                           default_init, newton_solve, residual)
 
 
 def box(points, n=2, hw=1.0):
@@ -303,6 +304,116 @@ def test_default_init_is_psh():
     assert np.all(np.isfinite(r.values))
 
 
+def lifted_quadratic(prob, c):
+    """The candidate of coefficient c: quadratic fit plus the lift of its mismatch."""
+    beta = _quadratic_fit(prob.domain, prob.boundary)
+    beta[0] = c
+    quad = _quadratic_values(prob.domain, beta)
+    return quad + _harmonic_lift(prob.domain, prob.boundary.values - quad)
+
+
+def first_coefficient(prob):
+    return max(float(_quadratic_fit(prob.domain, prob.boundary)[0]), 0.25)
+
+
+@pytest.mark.parametrize("points, n", [(9, 2), (7, 3)])
+def test_bubble_solves_constant_laplacian_with_zero_ring(points, n):
+    dom = box(points, n)
+    b = _bubble(dom)
+    assert np.all(b[solver._boundary_ring(dom.shape)] == 0.0)
+    lap = sum(_second_diff(b, a, dom.spacings[a]) for a in range(2 * n))
+    assert np.max(np.abs(lap - 4 * n)) < 1e-10
+    sq = sq_modulus(dom).values
+    assert np.max(np.abs(b - (sq - _harmonic_lift(dom, sq)))) < 1e-13
+
+
+def test_raised_default_init_matches_per_raise_lifts(monkeypatch):
+    prob, _ = manufactured(9, eps=0.05)
+    calls = [0]
+    real = solver._checked_hessian
+
+    def counting(u, guard):
+        calls[0] += 1
+        return real(u, guard)
+
+    monkeypatch.setattr(solver, "_checked_hessian", counting)
+    init = default_init(prob)
+    raised_calls, calls[0] = calls[0], 0
+    # a fresh quadratic and lift per raise
+    c = first_coefficient(prob)
+    while True:
+        ref = GridField(prob.domain, lifted_quadratic(prob, c))
+        try:
+            solver._checked_hessian(ref, 1e-12)
+            break
+        except NotPlurisubharmonic:
+            c *= 2.0
+    assert raised_calls == calls[0] == 2
+    assert np.max(np.abs(init.values - ref.values)) < 1e-13
+
+
+def test_failing_default_init_makes_two_direct_solves(monkeypatch):
+    prob, _ = manufactured(17, eps=0.05)
+    calls = [0]
+    real = _DstPreconditioner.solve
+
+    def counting(self, r):
+        calls[0] += 1
+        return real(self, r)
+
+    monkeypatch.setattr(_DstPreconditioner, "solve", counting)
+    with pytest.raises(NotPlurisubharmonic, match="default initialization"):
+        default_init(prob)
+    assert calls[0] == 2   # the lift and the bubble, for all 12 candidates
+
+
+def test_unraised_default_init_is_quadratic_plus_lift():
+    prob, _ = manufactured(9)
+    init = default_init(prob)
+    ref = lifted_quadratic(prob, first_coefficient(prob))
+    assert init.values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"min_step": 0.0}, {"min_step": -1.0}, {"min_step": float("inf")},
+    {"min_step": float("nan")}, {"psd_guard": -1e-12}, {"psd_guard": float("inf")},
+    {"psd_guard": float("nan")}, {"inner_maxiter": 0},
+])
+def test_newton_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        NewtonConfig(**kwargs)
+
+
+def test_newton_config_edge_values_are_legal():
+    NewtonConfig(min_step=2.0, psd_guard=0.0, inner_maxiter=1)
+
+
+def test_default_init_needs_a_candidate():
+    prob, _ = manufactured(5)
+    with pytest.raises(ValueError, match="max_raises"):
+        default_init(prob, max_raises=0)
+
+
+def test_line_search_counts_halvings_and_psh_rejects(monkeypatch):
+    # the first candidate of the first step is rejected as not
+    # plurisubharmonic: one halving, and that halving is a rejection
+    real = solver.residual
+    calls = [0]
+
+    def rejecting_once(u, prob, guard=1e-12):
+        calls[0] += 1
+        if calls[0] == 2:   # call 1 is the initial residual
+            raise NotPlurisubharmonic((1, 1, 1, 1))
+        return real(u, prob, guard)
+
+    monkeypatch.setattr(solver, "residual", rejecting_once)
+    prob, _ = manufactured(9)
+    out = newton_solve(prob, NewtonConfig(tol_residual=1e-10))
+    assert len(out["halvings"]) == len(out["psh_rejects"]) == out["iterations"]
+    assert out["halvings"][0] >= out["psh_rejects"][0] == 1
+    assert all(r <= h for h, r in zip(out["halvings"], out["psh_rejects"]))
+
+
 def test_dst_workers_do_not_change_result():
     dom = box(11)
     r = np.random.default_rng(3).normal(size=9 ** 4)
@@ -350,8 +461,9 @@ def test_krylov_operators_only_see_float64(monkeypatch):
 
 
 def test_default_init_uses_float64_lift(monkeypatch):
-    prob, _ = manufactured(9)
-    init = default_init(prob)
+    # at eps = 0.05 the init raises once, so the bubble's solve runs too
+    probs = [manufactured(9, eps)[0] for eps in (1.0, 0.05)]
+    inits = [default_init(prob) for prob in probs]
 
     def reference_solve(self, r):
         y = sfft.dstn(r.reshape(self.shape), type=1, workers=self.workers)
@@ -359,8 +471,8 @@ def test_default_init_uses_float64_lift(monkeypatch):
         return sfft.idstn(y, type=1, workers=self.workers).ravel()
 
     monkeypatch.setattr(_DstPreconditioner, "solve", reference_solve)
-    ref = default_init(prob)
-    assert init.values.tobytes() == ref.values.tobytes()
+    for prob, init in zip(probs, inits):
+        assert init.values.tobytes() == default_init(prob).values.tobytes()
 
 
 def test_float32_preconditioner_keeps_inner_iterations(monkeypatch):
