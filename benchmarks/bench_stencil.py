@@ -3,6 +3,10 @@ sine-transform preconditioner solve in float64 and in float32.
 
 Run as: python benchmarks/bench_stencil.py [points_per_axis] [dst_workers]
 
+The n = 2 kernels run on a points_per_axis^4 grid; the interior kernels
+of n = 3 always on a 9^6 grid, the grid of the perfbench solve-c3
+workload.
+
 Every line names the active kernel (kernels.IMPL), the sine-transform
 worker count, the usable cores and the peak RSS so far.
 """
@@ -57,6 +61,21 @@ def main():
     report(f"apply_linearization {_impl.IMPL}: {t_c:.3f}s  numpy: {t_f:.3f}s  "
            f"speedup {t_f / t_c:.2f}x  max gap {gap:.2e}")
     del p, v, out_c, out_f
+
+    u6 = rng.normal(size=(9,) * 6)
+    h6 = [0.25] * 6
+    coef6 = [rng.normal(size=(7,) * 6) for _ in range(9)]
+    # the numpy version yields its fields one at a time
+    t_hc, hess_c = _time(lambda: tuple(_impl.hessian_interior(u6, h6)))
+    t_hf, hess_f = _time(lambda: tuple(fallback.hessian_interior(u6, h6)))
+    t_ac, out_c = _time(_impl.apply_interior, coef6, u6, h6)
+    t_af, out_f = _time(fallback.apply_interior, coef6, u6, h6)
+    gap = max(float(np.max(np.abs(a - b)))
+              for a, b in zip(hess_c + (out_c,), hess_f + (out_f,)))
+    report(f"n=3 9^6 hessian_interior {_impl.IMPL}: {t_hc:.4f}s  numpy: {t_hf:.4f}s  "
+           f"apply_interior {_impl.IMPL}: {t_ac:.4f}s  numpy: {t_af:.4f}s  "
+           f"max gap {gap:.2e}")
+    del u6, coef6, hess_c, hess_f, out_c, out_f
 
     dom = GridDomain(np.zeros(4), np.ones(4), (npts,) * 4, max_nodes=npts ** 4)
     r = rng.normal(size=(npts - 2) ** 4)

@@ -226,6 +226,8 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
                      {"final_residual": exc.result["final_residual"],
                       "iterations": exc.result["iterations"]})
     except NotPlurisubharmonic as exc:
+        if exc.result is not None:   # the line search found no step
+            _log_inner_solves(out_dir, exc.result)
         return _fail(out_dir, "finite-difference complex Hessian positive "
                      "definite at every iterate", {"message": str(exc)})
     _log_inner_solves(out_dir, out)

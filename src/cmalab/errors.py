@@ -48,10 +48,15 @@ class GridTooLarge(CmaLabError):
 
 
 class NotPlurisubharmonic(CmaLabError):
-    """Iterate lost positive definiteness of its complex Hessian."""
+    """Iterate lost positive definiteness of its complex Hessian.
 
-    def __init__(self, node=None, message="finite-difference complex Hessian not positive definite"):
+    `result` is None, or, when a Newton solve's line search found no
+    step, that solve's partial result, as NonConverged carries it."""
+
+    def __init__(self, node=None, message="finite-difference complex Hessian not positive definite",
+                 result=None):
         self.node = node
+        self.result = result
         if node is not None:
             message = f"{message} at node {node!r}"
         super().__init__(message)

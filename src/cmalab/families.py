@@ -65,10 +65,6 @@ class SolutionFamily:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "eps": self.eps}
 
-    @staticmethod
-    def from_dict(obj) -> "SolutionFamily":
-        return SolutionFamily(obj["kind"], int(obj["dim"]), float(obj.get("eps", 0.0)))
-
 
 def _split(f: SolutionFamily, pts):
     """Return (|z_i|^2 array stacked last-axis, t = |last coord|^2)."""

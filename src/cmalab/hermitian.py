@@ -47,10 +47,6 @@ class HermitianForm:
             return HermitianForm(self.entries + other.entries)
         return NotImplemented
 
-    def shifted(self, c: float) -> "HermitianForm":
-        """Return self + c * identity."""
-        return HermitianForm(self.entries + c * np.eye(self.dim))
-
 
 def herm_det(h: HermitianForm) -> float:
     """Determinant of a Hermitian matrix; the imaginary residue is discarded."""

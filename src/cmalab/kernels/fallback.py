@@ -1,5 +1,6 @@
 """Pure-numpy stencil kernels: the FD complex Hessian and the linearized
-apply, for any complex dimension n.
+apply, for any complex dimension n.  They are the reference semantics of
+the C kernels (kernels.native), and run when C does not build.
 
 Grid functions are 2n-d arrays over the real axes (x1, y1, ..., xn, yn).
 Hessian and coefficient fields share one real order, the coef order:
@@ -7,8 +8,8 @@ a^{ii} for i = 1..n, then Re a^{ij} and Im a^{ij} for each pair i < j in
 row order (itertools.combinations).  `hessian_interior` and
 `apply_interior` work on interior arrays and are the only numpy version
 of the two formulas.  `hessian_fields` and `apply_linearization` are the
-n = 2 entry points on full 4d grids with a zero ring; the C kernels
-(kernels.native) provide the same two, and these are their reference.
+n = 2 entry points on full 4d grids with a zero ring.  C sums in the same
+order, so with power-of-two spacings the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ def hessian_interior(u: np.ndarray, h):
 def apply_interior(coef, v: np.ndarray, h) -> np.ndarray:
     """Interior of sum a^{ij} v_{ij}, for interior coefficient fields in
     coef order, summed as 1/4 [sum a^{ii} lap_i + 2 sum Re a^{ij} cre_ij]
-    + 1/2 sum Im a^{ij} cim_ij: for n = 2 the order of the C kernel, so
-    with power-of-two spacings the two agree bit for bit."""
+    + 1/2 sum Im a^{ij} cim_ij, the order of the C kernel."""
     h = np.asarray(h, dtype=float)
     n = v.ndim // 2
     acc = coef[0] * _laplacian(v, 0, h)

@@ -9,13 +9,14 @@ line search keeps every accepted iterate strictly plurisubharmonic
 and the residual max-norm monotone.
 
 Every complex dimension n keeps its operator coefficients in one real
-layout, the coef order of kernels.fallback.  For n = 2 the Hessian and
-the apply go through the cmalab.kernels entry points (C when it builds,
-else numpy) on full grids; for n >= 3 the solver calls the numpy
-formulas of kernels.fallback on interior arrays.  The n = 2 guard,
-log-det and inverse are closed forms (det, adjugate / det); for n >= 3
-they come from a field-wise LDL^H factorization of the coef-order
-Hessian fields, each factor entry a whole interior array.
+layout, the coef order of cmalab.kernels.  The Hessian and the apply
+always go through cmalab.kernels, looked up at call time: C when it
+builds, else the numpy reference.  For n = 2 they are the full-grid
+entry points `hessian_fields` and `apply_linearization`; for n >= 3,
+`hessian_interior` and `apply_interior` on interior arrays.  The n = 2
+guard, log-det and inverse are closed forms (det, adjugate / det); for
+n >= 3 they come from a field-wise LDL^H factorization of the
+coef-order Hessian fields, each factor entry a whole interior array.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import scipy.sparse.linalg as spla
 from . import kernels
 from .errors import NonConverged, NotPlurisubharmonic
 from .grid import GridDomain, GridField, _second_diff
-from .kernels.fallback import apply_interior, hessian_interior
 
 __all__ = ["DirichletProblem", "NewtonConfig", "WirtingerOperator",
            "residual", "assemble_linearization", "newton_solve",
@@ -191,7 +191,7 @@ def _checked_hessian(u: GridField, guard: float):
         det = h11 * h22 - hre ** 2 - him ** 2
         ok = (h11 > guard) & (det > guard)
     else:
-        fields = tuple(hessian_interior(u.values, dom.spacings))
+        fields = tuple(kernels.hessian_interior(u.values, dom.spacings))
         ok = _margin_ok(fields, dom.n, guard)
     if not np.all(ok):
         raise NotPlurisubharmonic(_first_bad_node(ok))
@@ -218,11 +218,12 @@ def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> Grid
 class WirtingerOperator:
     """v -> sum over i, j of a^{ij} v_{ij} with frozen coefficients a.
 
-    `coef` holds real fields in the coef order of kernels.fallback:
+    `coef` holds real fields in the coef order of cmalab.kernels:
     a^{ii} for i = 1..n, then Re a^{ij}, Im a^{ij} for each i < j.  For
     n = 2 they are full grids with a zero ring, the layout of the
     kernels.apply_linearization entry point; for n >= 3 they cover the
-    interior only, which keeps the larger grids small.
+    interior only, the layout of kernels.apply_interior, which keeps the
+    larger grids small.  Either way the stencil runs in C when it builds.
     """
 
     domain: GridDomain
@@ -233,7 +234,7 @@ class WirtingerOperator:
         if self.domain.n == 2:
             return kernels.apply_linearization(*self.coef, v, h)
         out = np.zeros_like(v)
-        out[_interior(v.shape)] = apply_interior(self.coef, v, h)
+        out[_interior(v.shape)] = kernels.apply_interior(self.coef, v, h)
         return out
 
     def mean_diagonal(self) -> tuple:
@@ -441,7 +442,11 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     and per accepted line search `halvings`, its step halvings, of which
     `psh_rejects` rejected a candidate that was not plurisubharmonic.
     Raises NonConverged (carrying the best iterate) if max_iters is
-    exhausted above tolerance.
+    exhausted above tolerance.  When the inner solve fails, NonConverged
+    carries the partial result: reason, iterations, final_residual and
+    the per-iteration lists so far; when the line search finds no step,
+    the NotPlurisubharmonic raised carries the same as its `result`,
+    with that search's halvings and rejections last.
     """
     dom = prob.domain
     shape = dom.shape
@@ -461,6 +466,13 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     halvings = []
     psh_rejects = []
     iterations = 0
+
+    def partial_result(reason):
+        return {"reason": reason, "iterations": iterations,
+                "final_residual": res_norm, "inner_info": inner_info,
+                "psolves": psolves, "halvings": halvings,
+                "psh_rejects": psh_rejects}
+
     for _ in range(cfg.max_iters):
         if res_norm <= cfg.tol_residual:
             break
@@ -493,10 +505,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         inner_info.append(int(info))
         psolves.append(psolve_count[0])
         if info != 0 and not np.all(np.isfinite(d)):
-            raise NonConverged({"reason": "inner solve failed", "iterations": iterations,
-                                "final_residual": res_norm, "inner_info": inner_info,
-                                "psolves": psolves, "halvings": halvings,
-                                "psh_rejects": psh_rejects})
+            raise NonConverged(partial_result("inner solve failed"))
         step = np.zeros(shape)
         step[core] = d.reshape(tuple(s - 2 for s in shape))
         alpha = 1.0
@@ -515,11 +524,12 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
                     break
             alpha *= 0.5
             halved += 1
-        if accepted is None:
-            raise NotPlurisubharmonic(
-                "line search found no feasible decreasing step")
         halvings.append(halved)
         psh_rejects.append(rejected)
+        if accepted is None:
+            raise NotPlurisubharmonic(
+                "line search found no feasible decreasing step",
+                result=partial_result("line search failed"))
         cur, res, res_norm = accepted
         u = cur.values
         history.append(res_norm)

@@ -236,6 +236,22 @@ def test_solve_not_plurisubharmonic_writes_failure(tmp_path, monkeypatch):
     assert "line search" in failure["detail"]["message"]
 
 
+def test_solve_line_search_failure_logs_inner_solves(tmp_path, monkeypatch):
+    # no step length is allowed: the first line search fails with no halving
+    monkeypatch.setattr(cli, "NewtonConfig",
+                        functools.partial(cli.NewtonConfig, min_step=2.0))
+    out = str(tmp_path)
+    assert main(["solve", "--out", out, "--eps", "1", "--points", "9"]) == 1
+    with open(os.path.join(out, "run.log")) as f:
+        lines = [ln.split(" ", 1)[1] for ln in f.read().splitlines()]
+    logged = {ln.split("=", 1)[0]: ln.split("=", 1)[1] for ln in lines
+              if ln.split("=", 1)[0] in ("inner_info", "psolves", "halvings",
+                                         "psh_rejects")}
+    assert set(logged) == {"inner_info", "psolves", "halvings", "psh_rejects"}
+    assert logged["halvings"] == "0" and logged["psh_rejects"] == "0"
+    assert int(logged["psolves"]) >= 1
+
+
 def test_viscosity_no_upper_touch(tmp_path):
     out = str(tmp_path)
     assert main(["viscosity", "--out", out, "--attempts", "50"]) == 0

@@ -107,8 +107,3 @@ def test_singular_exponents():
     assert SolutionFamily("pogorelov_n", 3).singular_exponent == pytest.approx(2 / 3)
     assert SolutionFamily("theorem_v", 2).singular_exponent == 1.0
     assert SolutionFamily("blocki", 3).singular_exponent == pytest.approx(4 / 3)
-
-
-def test_serialization_roundtrip():
-    fam = SolutionFamily("pogorelov_n", 4, 0.25)
-    assert SolutionFamily.from_dict(fam.to_dict()) == fam

@@ -77,8 +77,3 @@ def test_psd_report():
     assert not rep["is_psd"]
     rep = psd_report(HermitianForm(np.eye(2)), 1e-12)
     assert rep["is_pd"] and rep["min_eigenvalue"] == pytest.approx(1.0)
-
-
-def test_shifted():
-    h = HermitianForm(np.diag([1.0, 2.0])).shifted(0.5)
-    assert np.allclose(np.diag(h.entries).real, [1.5, 2.5])

@@ -58,6 +58,98 @@ def test_c_and_numpy_bitwise_equal(points):
                           fallback.apply_linearization(*coeffs, u, h))
 
 
+# non-cubic shapes, so a stride mix-up shows; (shape, power-of-two spacings)
+_INTERIOR_CASES = {
+    1: ((9, 10), [0.25, 0.125]),
+    3: ((5, 6, 7, 5, 6, 7), [0.25, 0.5, 0.125, 0.25, 0.5, 0.125]),
+    4: ((5, 4, 3, 5, 4, 3, 5, 4), [0.5, 0.25, 0.125, 0.0625] * 2),
+}
+
+
+def _interior_case(n, seed):
+    rng = np.random.default_rng(seed)
+    shape, h = _INTERIOR_CASES[n]
+    u = rng.normal(size=shape)
+    coef = [rng.normal(size=tuple(s - 2 for s in shape)) for _ in range(n * n)]
+    return u, coef, h
+
+
+@pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_interior_kernels_match_fallback(n):
+    u, coef, h = _interior_case(n, n)
+    # power-of-two spacings: bit for bit
+    got = kernels.hessian_interior(u, h)
+    want = tuple(fallback.hessian_interior(u, h))
+    assert len(got) == len(want) == n * n
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(kernels.apply_interior(coef, u, h),
+                          fallback.apply_interior(coef, u, h))
+    # other spacings: C multiplies by 1/h^2 where numpy divides
+    h = [0.1 + 0.01 * a for a in range(2 * n)]
+    for a, b in zip(kernels.hessian_interior(u, h), fallback.hessian_interior(u, h)):
+        assert np.max(np.abs(a - b)) < 1e-12
+    assert np.max(np.abs(kernels.apply_interior(coef, u, h)
+                         - fallback.apply_interior(coef, u, h))) < 1e-12
+
+
+@pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
+def test_full_grid_entry_points_keep_a_zero_ring():
+    rng = np.random.default_rng(5)
+    shape = (7, 8, 9, 10)
+    h = [0.25, 0.125, 0.5, 0.25]
+    u = rng.normal(size=shape)
+    coef = [rng.normal(size=shape) for _ in range(4)]
+    ring = np.ones(shape, dtype=bool)
+    ring[(slice(1, -1),) * 4] = False
+    outs = kernels.hessian_fields(u, h) + (kernels.apply_linearization(*coef, u, h),)
+    wants = fallback.hessian_fields(u, h) + (fallback.apply_linearization(*coef, u, h),)
+    for a, b in zip(outs, wants):
+        assert a.shape == shape
+        assert np.array_equal(a, b)
+        assert not np.any(a[ring])
+
+
+@pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
+def test_interior_kernels_check_inputs(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("a bad argument reached C")
+
+    monkeypatch.setattr(kernels._impl, "_hessian", no_call)
+    monkeypatch.setattr(kernels._impl, "_apply", no_call)
+    u, coef, h = _interior_case(3, 0)
+    too_many = 2 * kernels._impl.max_n + 2
+    bad_grids = [
+        (np.zeros((5, 5, 5)), [0.1] * 3),                       # odd ndim
+        (np.broadcast_to(0.0, (3,) * too_many), [0.1] * too_many),  # above the cap
+        (np.zeros((5, 5, 2, 5)), [0.1] * 4),                    # axis below 3 nodes
+        (u, h[:5]),                                             # spacings
+    ]
+    for grid, hh in bad_grids:
+        with pytest.raises(ValueError):
+            kernels.hessian_interior(grid, hh)
+        with pytest.raises(ValueError):
+            kernels.apply_interior(coef, grid, hh)
+    with pytest.raises(ValueError):
+        kernels.apply_interior(coef[:-1], u, h)                 # field count
+    with pytest.raises(ValueError):
+        kernels.apply_interior(coef[:-1] + [coef[-1][:, :-1]], u, h)  # field shape
+
+
+@pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
+def test_interior_kernels_copy_noncontiguous_input():
+    u, coef, h = _interior_case(3, 4)
+    ut = np.ascontiguousarray(u.transpose(5, 4, 3, 2, 1, 0)).transpose(5, 4, 3, 2, 1, 0)
+    big = [np.repeat(c, 2, axis=-1) for c in coef]
+    strided = [b[..., ::2] for b in big]
+    assert not ut.flags.c_contiguous and not strided[0].flags.c_contiguous
+    for a, b in zip(kernels.hessian_interior(ut, h), fallback.hessian_interior(u, h)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(kernels.apply_interior(strided, ut, h),
+                          fallback.apply_interior(coef, u, h))
+
+
 def test_bench_stencil_runs():
     # nothing else runs this script; 9 points per axis, one DST worker
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -67,6 +159,10 @@ def test_bench_stencil_runs():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "apply_linearization" in out.stdout
+    n3 = [ln for ln in out.stdout.splitlines() if ln.startswith("n=3 9^6 ")]
+    assert len(n3) == 1
+    assert "hessian_interior" in n3[0] and "apply_interior" in n3[0]
+    assert f"impl={kernels.IMPL} " in n3[0]
 
 
 def test_fallback_hessian_on_quadratic():

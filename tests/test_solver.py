@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
 
@@ -6,7 +9,7 @@ import pytest
 import scipy.fft as sfft
 import scipy.sparse.linalg as spla
 
-from cmalab import solver
+from cmalab import kernels, solver
 from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, _second_diff, sample
@@ -271,6 +274,36 @@ def test_newton_generic_dimension_path():
     out = newton_solve(prob, NewtonConfig(tol_residual=1e-9, max_iters=15))
     assert out["final_residual"] <= 1e-9
     assert np.max(np.abs(out["solution"].values - oracle.values)) < 0.05
+
+
+_FALLBACK_SOLVE = """
+import sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+from cmalab import kernels
+from cmalab.solver import NewtonConfig, newton_solve
+from test_solver import manufactured
+assert kernels.IMPL == "numpy", kernels.IMPL
+out = newton_solve(manufactured(7, n=3)[0], NewtonConfig(tol_residual=1e-9, max_iters=15))
+np.save({path!r}, out["solution"].values)
+print(out["iterations"])
+"""
+
+
+@pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
+def test_newton_n3_fallback_parity(tmp_path):
+    # the numpy kernels, forced in a child process, take the same Newton path
+    prob, _ = manufactured(7, n=3)
+    out = newton_solve(prob, NewtonConfig(tol_residual=1e-9, max_iters=15))
+    path = str(tmp_path / "numpy.npy")
+    code = _FALLBACK_SOLVE.format(tests=os.path.dirname(os.path.abspath(__file__)),
+                                  path=path)
+    env = dict(os.environ, CMA_LAB_FORCE_FALLBACK="1")
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout.strip()) == out["iterations"]
+    assert np.max(np.abs(np.load(path) - out["solution"].values)) < 1e-12
 
 
 def test_newton_near_degenerate_telemetry():
