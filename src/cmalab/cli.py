@@ -28,7 +28,7 @@ from . import kernels, moser, probe, viscosity
 from .errors import (CmaLabError, ConfigError, GridTooLarge, NonConverged,
                      NotPlurisubharmonic)
 from .families import SolutionFamily, eval_analytic_hessian, eval_rhs, verify_identity
-from .grid import (GridDomain, GridField, complex_hessian_fd, field_to_csv,
+from .grid import (DEFAULT_MAX_NODES, GridDomain, complex_hessian_fd, field_to_csv,
                    sample)
 from .solver import DirichletProblem, NewtonConfig, newton_solve, usable_cores
 
@@ -202,15 +202,14 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
         raise ConfigError("solve needs a smooth family (eps > 0)")
     points = settings.number("points", int, 17)
     half_width = settings.number("half_width", float, 1.0)
-    max_nodes = settings.number("max_nodes", int, 10_000_000)
+    max_nodes = settings.number("max_nodes", int, DEFAULT_MAX_NODES)
     if max_nodes < 1:
         raise ConfigError("max_nodes must be >= 1")
     m = fam.dim
     dom = GridDomain(np.zeros(2 * m), np.full(2 * m, half_width),
                      (points,) * (2 * m), max_nodes=max_nodes)
-    coords = dom.node_coords_flat()
     oracle = sample(dom, fam.value)
-    rhs = GridField(dom, np.log(eval_rhs(fam, coords)).reshape(dom.shape))
+    rhs = sample(dom, lambda pts: np.log(eval_rhs(fam, pts)))
     prob = DirichletProblem(dom, rhs, oracle,
                             Lambda=settings.number("Lambda", float, 10.0))
     cfg = NewtonConfig(

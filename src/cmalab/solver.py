@@ -6,7 +6,9 @@ a^{ij} v_{ij} with a the inverse FD complex Hessian; Newton steps
 solve it with BiCGStab preconditioned by a constant-coefficient
 complex Laplacian inverted through fast sine transforms.  A halving
 line search keeps every accepted iterate strictly plurisubharmonic
-and the residual max-norm monotone.
+and the residual max-norm monotone.  Without an initial guess the
+solve starts from `default_init`: a Poisson problem with the Dirichlet
+data, solved directly by the same sine transforms.
 
 Every complex dimension n keeps its operator coefficients in one real
 layout, the coef order of cmalab.kernels.  The Hessian and the apply
@@ -32,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import NonConverged, NotPlurisubharmonic
-from .grid import GridDomain, GridField, _second_diff
+from .grid import GridDomain, GridField
 
 __all__ = ["DirichletProblem", "NewtonConfig", "WirtingerOperator",
            "residual", "assemble_linearization", "newton_solve",
@@ -95,12 +97,6 @@ class NewtonConfig:
 
 def _interior(shape):
     return (slice(1, -1),) * len(shape)
-
-
-def _boundary_ring(shape):
-    ring = np.ones(shape, dtype=bool)
-    ring[_interior(shape)] = False
-    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +199,9 @@ def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> Grid
     shape = prob.domain.shape
     _, pivots = _checked_hessian(u, guard)
     logdet = sum(np.log(p) for p in pivots)
-    out = np.empty(shape)
+    out = u.values - prob.boundary.values
     core = _interior(shape)
     out[core] = logdet - prob.rhs.values[core]
-    ring = _boundary_ring(shape)
-    out[ring] = u.values[ring] - prob.boundary.values[ring]
     return GridField(prob.domain, out)
 
 
@@ -283,7 +277,7 @@ class _DstPreconditioner:
         for a, m in enumerate(shape):
             k = np.arange(1, m + 1)
             lam.append((2.0 - 2.0 * np.cos(k * math.pi / (m + 1))) / (h[a] * h[a]))
-        eig = np.zeros(shape)
+        eig = 0.0   # broadcast: only the last sum allocates a full array
         for i, c in enumerate(diag_means):
             xa, ya = 2 * i, 2 * i + 1
             sh = [1] * len(shape)
@@ -321,85 +315,76 @@ def _interior_linop(op: WirtingerOperator):
 # ---------------------------------------------------------------------------
 # initialization and Newton iteration
 
-def _quadratic_fit(domain: GridDomain, boundary: GridField):
-    """Least-squares c |x|^2 + affine fit to the ring values."""
-    ring = _boundary_ring(domain.shape)
-    coords = domain.node_coords_flat()[ring.ravel()]
-    g = boundary.values[ring]
-    cols = [np.sum(coords ** 2, axis=1), np.ones(len(coords))] + \
-        [coords[:, a] for a in range(coords.shape[1])]
-    A = np.stack(cols, axis=1)
-    beta, *_ = np.linalg.lstsq(A, g, rcond=None)
-    return beta
-
-
-def _quadratic_values(domain: GridDomain, beta):
-    coords = domain.node_coords_flat()
-    vals = beta[0] * np.sum(coords ** 2, axis=1) + beta[1] + coords @ beta[2:]
-    return vals.reshape(domain.shape)
-
-
-def _harmonic_lift(domain: GridDomain, ring_values: np.ndarray,
-                   workers: int = None) -> np.ndarray:
-    """Discrete harmonic extension of ring data (zero-Laplacian interior)."""
+def _quadratic_fit(domain: GridDomain, boundary: GridField) -> float:
+    """Coefficient c of the least-squares fit c |x|^2 + affine to the ring
+    values.  The affine columns stay in the fit because they move c."""
     shape = domain.shape
-    core = _interior(shape)
-    g = np.zeros(shape)
-    ring = _boundary_ring(shape)
-    g[ring] = ring_values[ring]
-    # move the Dirichlet data to the right-hand side of the Laplace system
-    h = domain.spacings
-    rhs = np.zeros(tuple(s - 2 for s in shape))
+    ring = np.ones(shape, dtype=bool)
+    ring[_interior(shape)] = False
+    coords = []
     for a in range(len(shape)):
-        rhs += _second_diff(g, a, h[a])
-    # diag_means = 2 makes the surrogate exactly half the real Laplacian,
-    # and the sine transform diagonalizes it, so this solve is direct
-    pre = _DstPreconditioner(domain, [2.0] * domain.n, workers)
-    out = g.copy()
-    out[core] = 0.5 * pre.solve(rhs.ravel()).reshape(rhs.shape)
+        sh = [1] * len(shape)
+        sh[a] = -1
+        coords.append(np.broadcast_to(domain.axis_coords(a).reshape(sh), shape)[ring])
+    cols = [sum(x ** 2 for x in coords), np.ones(len(coords[0]))] + coords
+    beta, *_ = np.linalg.lstsq(np.stack(cols, axis=1), boundary.values[ring], rcond=None)
+    return float(beta[0])
+
+
+def _poisson(domain: GridDomain, source, ring_values: np.ndarray = None,
+             workers: int = None) -> np.ndarray:
+    """Solution u of Δ_h u = source on the interior with u = ring_values on
+    the ring (zero when None); Δ_h is the 3-point real Laplacian.
+
+    `source` is a number or an interior array.  The ring enters Δ_h only
+    through the interior faces next to it, so it moves there to the
+    right-hand side.  diag_means = 4 makes the surrogate of
+    `_DstPreconditioner` exactly -Δ_h on the interior, which the sine
+    transform diagonalizes: one direct float64 solve."""
+    shape = domain.shape
+    inner = tuple(s - 2 for s in shape)
+    h = domain.spacings
+    core = _interior(shape)
+    rhs = np.zeros(inner)
+    rhs -= source
+    if ring_values is None:
+        out = np.zeros(shape)
+    else:
+        out = ring_values.copy()
+        for a in range(len(shape)):
+            for end in (0, -1):
+                face, ring_face = [slice(None)] * len(shape), list(core)
+                face[a] = ring_face[a] = end
+                rhs[tuple(face)] += ring_values[tuple(ring_face)] / (h[a] * h[a])
+    pre = _DstPreconditioner(domain, [4.0] * domain.n, workers)
+    out[core] = pre.solve(rhs.ravel()).reshape(inner)
     return out
 
 
-def _bubble(domain: GridDomain, workers: int = None) -> np.ndarray:
-    """Zero-ring solution b of Δ_h b = 4n, the 3-point real Laplacian.
-
-    Δ_h is exact on quadratics, Δ_h |x|^2 = 4n, so b = |x|^2 - lift(|x|^2)
-    up to rounding: the amount by which a unit raise of the quadratic
-    coefficient moves a quadratic-plus-lift candidate.  One direct
-    float64 solve, as in `_harmonic_lift`."""
-    inner = tuple(s - 2 for s in domain.shape)
-    pre = _DstPreconditioner(domain, [2.0] * domain.n, workers)
-    out = np.zeros(domain.shape)
-    # the surrogate is half of -Δ_h: -Δ_h b = -4n gives b = 0.5 solve(-4n)
-    out[_interior(domain.shape)] = 0.5 * pre.solve(
-        np.full(inner, -4.0 * domain.n)).reshape(inner)
-    return out
+# candidates default_init tries: quadratic coefficients c0, 2 c0, ..., 2^11 c0
+_INIT_CANDIDATES = 12
 
 
 def default_init(prob: DirichletProblem, guard: float = 1e-12,
-                 max_raises: int = 12, workers: int = None) -> GridField:
-    """Quadratic boundary fit plus harmonic lift of the mismatch; the
-    quadratic coefficient is raised until the FD Hessians are PD.
+                 workers: int = None) -> GridField:
+    """The discrete solution of Δ_h u = 4n c with the boundary data on
+    the ring; c is raised until the FD Hessians are PD.
 
-    The first candidate is u0 = q_{c0} + lift(g - q_{c0}), c0 the fitted
-    coefficient (at least 0.25).  The lift is linear in the ring data,
-    so the candidate of coefficient c is u0 + (c - c0) b with b the
-    `_bubble`: at most two direct solves per call, whatever the number
-    of raises.  c doubles up to `max_raises` candidates in all.
+    Δ_h is exact on quadratics, Δ_h |x|^2 = 4n, and affine functions are
+    discrete-harmonic, so the candidate of coefficient c is the quadratic
+    c |x|^2 + affine plus the harmonic lift of its mismatch with the
+    ring data.  c starts at c0, the fitted coefficient (at least 0.25),
+    and doubles up to `_INIT_CANDIDATES` candidates in all.  Candidate c
+    is u0 + (c - c0) b with b = `_poisson`(4n) on a zero ring: at most
+    two direct solves per call, whatever the number of raises.
     `workers` threads run the sine transforms (None: all cores)."""
-    if max_raises < 1:
-        raise ValueError("max_raises must be >= 1")
     dom = prob.domain
-    beta = _quadratic_fit(dom, prob.boundary)
-    c0 = c = max(float(beta[0]), 0.25)
-    beta[0] = c0
-    quad = _quadratic_values(dom, beta)
-    u0 = quad + _harmonic_lift(dom, prob.boundary.values - quad, workers)
-    vals = u0
-    for k in range(max_raises):
+    c0 = c = max(_quadratic_fit(dom, prob.boundary), 0.25)
+    u0 = vals = _poisson(dom, 4 * dom.n * c0, prob.boundary.values, workers)
+    for k in range(_INIT_CANDIDATES):
         if k > 0:
             if k == 1:
-                bubble = _bubble(dom, workers)
+                bubble = _poisson(dom, 4 * dom.n, workers=workers)
             c *= 2.0
             vals = u0 + (c - c0) * bubble
         u = GridField(dom, vals)
@@ -409,7 +394,7 @@ def default_init(prob: DirichletProblem, guard: float = 1e-12,
         except NotPlurisubharmonic:
             pass
     raise NotPlurisubharmonic(
-        "no plurisubharmonic default initialization found; supply init=")
+        message="no plurisubharmonic default initialization found; supply init=")
 
 
 def _forcing(res_norm: float, prev_norm: float, tol: float) -> float:
@@ -453,9 +438,8 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     core = _interior(shape)
     if init is None:
         init = default_init(prob, cfg.psd_guard, workers=cfg.workers)
-    u = init.values.copy()
-    ring = _boundary_ring(shape)
-    u[ring] = prob.boundary.values[ring]  # Dirichlet data exact at every iterate
+    u = prob.boundary.values.copy()   # Dirichlet data exact at every iterate
+    u[core] = init.values[core]
     cur = GridField(dom, u)
     res = residual(cur, prob, cfg.psd_guard)
     res_norm = float(np.max(np.abs(res.values)))

@@ -226,6 +226,7 @@ def test_solve_not_plurisubharmonic_writes_failure(tmp_path, monkeypatch):
     failure = read_json(os.path.join(out, "failure.json"))
     assert "positive definite" in failure["invariant"]
     assert "default initialization" in failure["detail"]["message"]
+    assert "at node" not in failure["detail"]["message"]
     # no step length is allowed, so the line search finds no step
     monkeypatch.setattr(cli, "NewtonConfig",
                         functools.partial(cli.NewtonConfig, min_step=2.0))

@@ -14,10 +14,10 @@ from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, _second_diff, sample
 from cmalab.kernels.fallback import hessian_interior
-from cmalab.solver import (DirichletProblem, NewtonConfig, _bubble, _DstPreconditioner,
-                           _forcing, _harmonic_lift, _inverse_coef, _ldlh, _margin_ok,
-                           _quadratic_fit, _quadratic_values, assemble_linearization,
-                           default_init, newton_solve, residual)
+from cmalab.cli import main
+from cmalab.solver import (DirichletProblem, NewtonConfig, _DstPreconditioner, _forcing,
+                           _inverse_coef, _ldlh, _margin_ok, _poisson, _quadratic_fit,
+                           assemble_linearization, default_init, newton_solve, residual)
 
 
 def box(points, n=2, hw=1.0):
@@ -337,31 +337,66 @@ def test_default_init_is_psh():
     assert np.all(np.isfinite(r.values))
 
 
+def ring_mask(shape):
+    ring = np.ones(shape, dtype=bool)
+    ring[(slice(1, -1),) * len(shape)] = False
+    return ring
+
+
+def full_quadratic_fit(dom, g):
+    """Least-squares (c, constant, linear coefficients) of c |x|^2 + affine
+    to the ring values of g."""
+    coords = dom.node_coords_flat()[ring_mask(dom.shape).ravel()]
+    A = np.column_stack([np.sum(coords ** 2, axis=1), np.ones(len(coords)), coords])
+    return np.linalg.lstsq(A, g[ring_mask(dom.shape)], rcond=None)[0]
+
+
+def harmonic_lift(dom, ring_values):
+    """Zero-Laplacian interior extension of ring data: the ring moved to
+    the right-hand side through full-grid second differences, then one
+    direct sine-transform solve of half the Laplacian."""
+    ring = ring_mask(dom.shape)
+    g = np.where(ring, ring_values, 0.0)
+    rhs = sum(_second_diff(g, a, dom.spacings[a]) for a in range(2 * dom.n))
+    pre = _DstPreconditioner(dom, [2.0] * dom.n)
+    g[~ring] = 0.5 * pre.solve(rhs.ravel())
+    return g
+
+
 def lifted_quadratic(prob, c):
-    """The candidate of coefficient c: quadratic fit plus the lift of its mismatch."""
-    beta = _quadratic_fit(prob.domain, prob.boundary)
-    beta[0] = c
-    quad = _quadratic_values(prob.domain, beta)
-    return quad + _harmonic_lift(prob.domain, prob.boundary.values - quad)
+    """The candidate of coefficient c built the long way: the quadratic
+    fit, its coefficient set to c, plus the harmonic lift of its mismatch."""
+    dom = prob.domain
+    beta = full_quadratic_fit(dom, prob.boundary.values)
+    coords = dom.node_coords_flat()
+    quad = (c * np.sum(coords ** 2, axis=1) + beta[1] + coords @ beta[2:]).reshape(dom.shape)
+    return quad + harmonic_lift(dom, prob.boundary.values - quad)
 
 
 def first_coefficient(prob):
-    return max(float(_quadratic_fit(prob.domain, prob.boundary)[0]), 0.25)
+    return max(float(full_quadratic_fit(prob.domain, prob.boundary.values)[0]), 0.25)
 
 
+@pytest.mark.parametrize("ring", ["zero", "data"])
 @pytest.mark.parametrize("points, n", [(9, 2), (7, 3)])
-def test_bubble_solves_constant_laplacian_with_zero_ring(points, n):
+def test_poisson_meets_source_and_ring(points, n, ring):
     dom = box(points, n)
-    b = _bubble(dom)
-    assert np.all(b[solver._boundary_ring(dom.shape)] == 0.0)
-    lap = sum(_second_diff(b, a, dom.spacings[a]) for a in range(2 * n))
-    assert np.max(np.abs(lap - 4 * n)) < 1e-10
-    sq = sq_modulus(dom).values
-    assert np.max(np.abs(b - (sq - _harmonic_lift(dom, sq)))) < 1e-13
+    rng = np.random.default_rng(points)
+    inner = tuple(s - 2 for s in dom.shape)
+    source = 4.0 * n if ring == "zero" else rng.normal(size=inner)
+    g = None if ring == "zero" else sq_modulus(dom).values + rng.normal(size=dom.shape)
+    u = _poisson(dom, source, g)
+    mask = ring_mask(dom.shape)
+    expected = np.zeros(dom.shape) if g is None else g
+    assert u[mask].tobytes() == expected[mask].tobytes()
+    lap = sum(_second_diff(u, a, dom.spacings[a]) for a in range(2 * n))
+    assert np.max(np.abs(lap - source)) < 1e-10
+    if g is None:   # the raise's direction: |x|^2 minus its harmonic lift
+        sq = sq_modulus(dom).values
+        assert np.max(np.abs(u - (sq - harmonic_lift(dom, sq)))) < 1e-13
 
 
 def test_raised_default_init_matches_per_raise_lifts(monkeypatch):
-    prob, _ = manufactured(9, eps=0.05)
     calls = [0]
     real = solver._checked_hessian
 
@@ -370,19 +405,22 @@ def test_raised_default_init_matches_per_raise_lifts(monkeypatch):
         return real(u, guard)
 
     monkeypatch.setattr(solver, "_checked_hessian", counting)
-    init = default_init(prob)
-    raised_calls, calls[0] = calls[0], 0
-    # a fresh quadratic and lift per raise
-    c = first_coefficient(prob)
-    while True:
-        ref = GridField(prob.domain, lifted_quadratic(prob, c))
-        try:
-            solver._checked_hessian(ref, 1e-12)
-            break
-        except NotPlurisubharmonic:
-            c *= 2.0
-    assert raised_calls == calls[0] == 2
-    assert np.max(np.abs(init.values - ref.values)) < 1e-13
+    for points, n in ((9, 2), (7, 3)):
+        prob, _ = manufactured(points, eps=0.05, n=n)
+        calls[0] = 0
+        init = default_init(prob)
+        raised_calls, calls[0] = calls[0], 0
+        # a fresh quadratic and lift per raise
+        c = first_coefficient(prob)
+        while True:
+            ref = GridField(prob.domain, lifted_quadratic(prob, c))
+            try:
+                solver._checked_hessian(ref, 1e-12)
+                break
+            except NotPlurisubharmonic:
+                c *= 2.0
+        assert raised_calls == calls[0] == 2   # one raise
+        assert np.max(np.abs(init.values - ref.values)) < 1e-13
 
 
 def test_failing_default_init_makes_two_direct_solves(monkeypatch):
@@ -395,16 +433,43 @@ def test_failing_default_init_makes_two_direct_solves(monkeypatch):
         return real(self, r)
 
     monkeypatch.setattr(_DstPreconditioner, "solve", counting)
-    with pytest.raises(NotPlurisubharmonic, match="default initialization"):
+    with pytest.raises(NotPlurisubharmonic, match="default initialization") as exc:
         default_init(prob)
-    assert calls[0] == 2   # the lift and the bubble, for all 12 candidates
+    assert exc.value.node is None
+    assert calls[0] == 2   # the first candidate and the raise, for all 12 candidates
 
 
 def test_unraised_default_init_is_quadratic_plus_lift():
+    # one Poisson solve against the quadratic plus its lift: equal up to rounding
+    for points, n in ((9, 2), (17, 2), (7, 3)):
+        prob, _ = manufactured(points, n=n)
+        init = default_init(prob)
+        ref = lifted_quadratic(prob, first_coefficient(prob))
+        solver._checked_hessian(GridField(prob.domain, ref), 1e-12)   # unraised
+        assert np.max(np.abs(init.values - ref)) < 1e-13
+        assert _quadratic_fit(prob.domain, prob.boundary) == pytest.approx(
+            full_quadratic_fit(prob.domain, prob.boundary.values)[0], rel=1e-14)
+
+
+def test_residual_ring_rows_are_u_minus_g():
+    prob, oracle = manufactured(9)
+    rng = np.random.default_rng(5)
+    ring = ring_mask(prob.domain.shape)
+    u = GridField(prob.domain, oracle.values + 1e-3 * ring * rng.normal(size=ring.shape))
+    r = residual(u, prob).values
+    assert r[ring].tobytes() == (u.values - prob.boundary.values)[ring].tobytes()
+    assert np.any(r[ring] != 0.0)
+
+
+def test_default_init_and_solve_build_no_coordinate_array(monkeypatch, tmp_path):
     prob, _ = manufactured(9)
-    init = default_init(prob)
-    ref = lifted_quadratic(prob, first_coefficient(prob))
-    assert init.values.tobytes() == ref.tobytes()
+
+    def refuse(self):
+        raise AssertionError("node_coords_flat called")
+
+    monkeypatch.setattr(GridDomain, "node_coords_flat", refuse)
+    residual(default_init(prob), prob)
+    assert main(["solve", "--out", str(tmp_path), "--eps", "1", "--points", "9"]) == 0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -419,12 +484,6 @@ def test_newton_config_rejects_bad_values(kwargs):
 
 def test_newton_config_edge_values_are_legal():
     NewtonConfig(min_step=2.0, psd_guard=0.0, inner_maxiter=1)
-
-
-def test_default_init_needs_a_candidate():
-    prob, _ = manufactured(5)
-    with pytest.raises(ValueError, match="max_raises"):
-        default_init(prob, max_raises=0)
 
 
 def test_line_search_counts_halvings_and_psh_rejects(monkeypatch):
