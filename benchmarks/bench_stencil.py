@@ -23,6 +23,17 @@ from cmalab.kernels import _impl, fallback
 from cmalab.solver import _DstPreconditioner, usable_cores
 
 
+def _over(impl, fn):
+    """fn, a kernels function, run with `impl` as the active implementation."""
+    def run(*args):
+        saved, kernels._impl = kernels._impl, impl
+        try:
+            return fn(*args)
+        finally:
+            kernels._impl = saved
+    return run
+
+
 def _time(fn, *args, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -46,8 +57,8 @@ def main():
     h = [2.0 / (npts - 1)] * 4
     print(f"grid {npts}^4 = {npts**4} nodes; compiled impl: {_impl.IMPL}")
 
-    t_c, hess_c = _time(_impl.hessian_fields, u, h)
-    t_f, hess_f = _time(fallback.hessian_fields, u, h)
+    t_c, hess_c = _time(_over(_impl, kernels.hessian_fields), u, h)
+    t_f, hess_f = _time(_over(fallback, kernels.hessian_fields), u, h)
     gap = max(float(np.max(np.abs(a - b))) for a, b in zip(hess_c, hess_f))
     report(f"hessian_fields      {_impl.IMPL}: {t_c:.3f}s  numpy: {t_f:.3f}s  "
            f"speedup {t_f / t_c:.2f}x  max gap {gap:.2e}")
@@ -55,8 +66,8 @@ def main():
 
     p = [rng.normal(size=u.shape) for _ in range(4)]
     v = rng.normal(size=u.shape)
-    t_c, out_c = _time(_impl.apply_linearization, *p, v, h)
-    t_f, out_f = _time(fallback.apply_linearization, *p, v, h)
+    t_c, out_c = _time(_over(_impl, kernels.apply_linearization), *p, v, h)
+    t_f, out_f = _time(_over(fallback, kernels.apply_linearization), *p, v, h)
     gap = float(np.max(np.abs(out_c - out_f)))
     report(f"apply_linearization {_impl.IMPL}: {t_c:.3f}s  numpy: {t_f:.3f}s  "
            f"speedup {t_f / t_c:.2f}x  max gap {gap:.2e}")
@@ -65,13 +76,15 @@ def main():
     u6 = rng.normal(size=(9,) * 6)
     h6 = [0.25] * 6
     coef6 = [rng.normal(size=(7,) * 6) for _ in range(9)]
-    # the numpy version yields its fields one at a time
-    t_hc, hess_c = _time(lambda: tuple(_impl.hessian_interior(u6, h6)))
-    t_hf, hess_f = _time(lambda: tuple(fallback.hessian_interior(u6, h6)))
-    t_ac, out_c = _time(_impl.apply_interior, coef6, u6, h6)
-    t_af, out_f = _time(fallback.apply_interior, coef6, u6, h6)
+    # each implementation writes into interior arrays of its own
+    hess_c, hess_f = ([np.empty((7,) * 6) for _ in range(9)] for _ in range(2))
+    out_c, out_f = np.empty((7,) * 6), np.empty((7,) * 6)
+    t_hc, _ = _time(_impl.hessian_interior, u6, h6, hess_c)
+    t_hf, _ = _time(fallback.hessian_interior, u6, h6, hess_f)
+    t_ac, _ = _time(_impl.apply_interior, coef6, u6, h6, out_c)
+    t_af, _ = _time(fallback.apply_interior, coef6, u6, h6, out_f)
     gap = max(float(np.max(np.abs(a - b)))
-              for a, b in zip(hess_c + (out_c,), hess_f + (out_f,)))
+              for a, b in zip(hess_c + [out_c], hess_f + [out_f]))
     report(f"n=3 9^6 hessian_interior {_impl.IMPL}: {t_hc:.4f}s  numpy: {t_hf:.4f}s  "
            f"apply_interior {_impl.IMPL}: {t_ac:.4f}s  numpy: {t_af:.4f}s  "
            f"max gap {gap:.2e}")

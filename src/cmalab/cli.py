@@ -89,9 +89,12 @@ class _Settings:
 
     def number(self, key: str, kind, default):
         """The setting converted by `kind` (int or float); ConfigError if
-        a config value does not convert or, for int, is not integral."""
+        a config value is a boolean, does not convert or, for int, is not
+        integral."""
         value = self.get(key, default)
         try:
+            if isinstance(value, bool):
+                raise TypeError
             if kind is int and isinstance(value, float) and not value.is_integer():
                 raise ValueError
             return kind(value)
@@ -115,15 +118,9 @@ class _Settings:
 
 
 def _threads(settings: _Settings) -> int:
-    """Sine-transform threads: --threads, the config, CMA_LAB_THREADS, else
-    every usable core."""
-    value = settings.get("threads")
-    if value is None:
-        value = os.environ.get("CMA_LAB_THREADS") or usable_cores()
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"threads must be an integer, got {value!r}") from None
+    """Sine-transform threads: --threads, the config, else every usable
+    core."""
+    threads = settings.number("threads", int, usable_cores())
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     return threads

@@ -29,7 +29,6 @@ __all__ = [
     "GridField",
     "sample",
     "complex_hessian_fd",
-    "complex_hessian_fd_raw",
     "complex_laplacian_fd",
     "lp_norm",
     "w2p_seminorm",
@@ -288,14 +287,9 @@ def wirtinger_from_real_hessian(H: np.ndarray) -> np.ndarray:
     return 0.25 * (re + 1j * im)
 
 
-def complex_hessian_fd_raw(u: GridField, at) -> np.ndarray:
-    """Unsymmetrized FD complex Hessian at an interior node."""
-    return wirtinger_from_real_hessian(real_hessian_fd(u, at))
-
-
 def complex_hessian_fd(u: GridField, at) -> HermitianForm:
     """FD complex Hessian at an interior node, as a HermitianForm."""
-    return HermitianForm(complex_hessian_fd_raw(u, at))
+    return HermitianForm(wirtinger_from_real_hessian(real_hessian_fd(u, at)))
 
 
 def complex_laplacian_fd(u: GridField) -> GridField:

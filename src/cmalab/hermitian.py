@@ -42,11 +42,6 @@ class HermitianForm:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def __add__(self, other):
-        if isinstance(other, HermitianForm):
-            return HermitianForm(self.entries + other.entries)
-        return NotImplemented
-
 
 def herm_det(h: HermitianForm) -> float:
     """Determinant of a Hermitian matrix; the imaginary residue is discarded."""

@@ -2,9 +2,9 @@
 
 stencil.c has one Hessian loop and one apply loop for every complex
 dimension n up to its cap (`Kernels.max_n`).  Each writes through
-per-axis strides, so the interior-only entry points (`hessian_interior`,
-`apply_interior`) and the n = 2 full-grid ones (`hessian_fields`,
-`apply_linearization`) share it.
+per-axis strides, so `hessian_interior` and `apply_interior` write into
+any output the caller owns whose last axis is contiguous: an interior
+array, or the interior view of a full grid.
 
 The shared library is built on first use with
 ``cc -O3 -ffp-contract=off -shared -fPIC``
@@ -14,7 +14,11 @@ It is written to a temporary file and renamed into place, so processes
 that build at the same time never load a partial file.  Later imports
 only hash the source and load the cached library.
 
-Every argument is checked here before a pointer reaches C.
+Every argument is checked here before a pointer reaches C: the grid and
+each field group (outputs, coefficients) must be float64, of one shape
+and one set of strides, with a contiguous last axis.  An input grid or
+coefficient group that is not is copied.  An output group that is not,
+that is read-only or that overlaps an input raises ValueError.
 """
 
 from __future__ import annotations
@@ -95,21 +99,27 @@ _INDICES = np.ctypeslib.ndpointer(dtype=np.intp, flags="C_CONTIGUOUS")
 _POINTERS = ctypes.POINTER(ctypes.c_void_p)
 
 
-def _first_nodes(fields, ring: bool):
-    """Pointers to the first interior node of each of `fields` (equal-shape
-    C-contiguous float64 arrays), and their common per-axis element
-    strides; `ring`: the fields are full grids, not interior arrays."""
-    strides = np.array(fields[0].strides, dtype=np.intp) // 8
-    skip = 8 * int(strides.sum()) if ring else 0
-    ptrs = (ctypes.c_void_p * len(fields))(*[f.ctypes.data + skip for f in fields])
-    return ptrs, strides
+def _strides(fields, shape):
+    """The per-axis element strides shared by `fields`, or None unless
+    each is an aligned float64 array of `shape` with the byte strides of
+    the first and a contiguous last axis: then C can address the whole
+    group by one pointer per field and one set of strides."""
+    strides = getattr(fields[0], "strides", ())
+    if strides[-1:] == (8,) and all(
+            isinstance(f, np.ndarray) and f.dtype == np.float64 and f.flags.aligned
+            and f.shape == shape and f.strides == strides for f in fields):
+        return np.array(strides, dtype=np.intp) // 8
+    return None
+
+
+def _pointers(fields):
+    return (ctypes.c_void_p * len(fields))(*[f.ctypes.data for f in fields])
 
 
 class Kernels:
     """The Hessian and apply entry points of kernels.fallback over the
-    loaded library, with the same signatures and results: the interior
-    functions for any n up to `max_n`, and the n = 2 full-grid wrappers
-    `hessian_fields` and `apply_linearization` over the same C loops."""
+    loaded library, for any n up to `max_n`, with the same signatures
+    and results: each writes into output arrays the caller owns."""
 
     IMPL = "c"
 
@@ -141,30 +151,35 @@ class Kernels:
             raise ValueError(f"need {len(shape)} spacings, got shape {h.shape}")
         return np.ascontiguousarray(u, dtype=np.float64), h
 
-    def _run_hessian(self, u, h, out, ring):
-        ptrs, strides = _first_nodes(out, ring)
-        self._hessian(u.ndim // 2, np.array(u.shape, dtype=np.intp), h, u,
-                      ptrs, strides)
+    @staticmethod
+    def _outputs(out, count, grid, inputs=()):
+        """The element strides of the `count` output fields `out`, checked:
+        writeable, laid out for C (`_strides`) over the interior of `grid`,
+        and sharing no memory with `grid` or `inputs`."""
+        inner = tuple(s - 2 for s in grid.shape)
+        if len(out) != count:
+            raise ValueError(f"need {count} output fields, got {len(out)}")
+        strides = _strides(out, inner)
+        if strides is None or not all(o.flags.writeable for o in out):
+            raise ValueError(f"output fields must be writeable float64 arrays of "
+                             f"shape {inner} with equal strides and a contiguous "
+                             f"last axis")
+        if any(np.may_share_memory(o, a) for o in out for a in (grid, *inputs)):
+            raise ValueError("output fields must not overlap the inputs")
+        return strides
 
-    def _run_apply(self, v, h, coef, out, ring):
-        cptrs, cstrides = _first_nodes(coef, ring)
-        (optr,), ostrides = _first_nodes((out,), ring)
-        self._apply(v.ndim // 2, np.array(v.shape, dtype=np.intp), h, v,
-                    cptrs, cstrides, optr, ostrides)
-
-    def hessian_interior(self, u, h) -> tuple:
-        """The interior FD complex-Hessian fields of a real 2n-d grid
-        function, in coef order."""
+    def hessian_interior(self, u, h, out) -> None:
+        """Write the interior FD complex-Hessian fields of a real 2n-d grid
+        function into `out`, n * n interior arrays in coef order."""
         u, h = self._grid(u, h)
         n = u.ndim // 2
-        inner = tuple(s - 2 for s in u.shape)
-        out = tuple(np.empty(inner) for _ in range(n * n))
-        self._run_hessian(u, h, out, ring=False)
-        return out
+        ostrides = self._outputs(out, n * n, u)
+        self._hessian(n, np.array(u.shape, dtype=np.intp), h, u,
+                      _pointers(out), ostrides)
 
-    def apply_interior(self, coef, v, h) -> np.ndarray:
-        """Interior of sum a^{ij} v_{ij}, for interior coefficient fields
-        in coef order."""
+    def apply_interior(self, coef, v, h, out) -> None:
+        """Write the interior of sum a^{ij} v_{ij} into `out`, for interior
+        coefficient fields in coef order."""
         v, h = self._grid(v, h)
         n = v.ndim // 2
         inner = tuple(s - 2 for s in v.shape)
@@ -173,37 +188,13 @@ class Kernels:
         if any(np.shape(c) != inner for c in coef):
             raise ValueError(f"coefficient fields must have the interior shape "
                              f"{inner}, got " + ", ".join(str(np.shape(c)) for c in coef))
-        coef = [np.ascontiguousarray(c, dtype=np.float64) for c in coef]
-        out = np.empty(inner)
-        self._run_apply(v, h, coef, out, ring=False)
-        return out
-
-    @staticmethod
-    def _full_grids(*arrays):
-        shapes = [np.shape(a) for a in arrays]
-        if len(shapes[-1]) != 4:
-            raise ValueError(f"grids must be 4-dimensional, got shape {shapes[-1]}")
-        if any(s != shapes[-1] for s in shapes):
-            raise ValueError("grid shapes differ: " + ", ".join(map(str, shapes)))
-
-    def hessian_fields(self, u, h) -> tuple:
-        """Complex-Hessian entry fields (h11, h22, hre, him) of a real 4d
-        grid function, as full grids with a zero ring."""
-        self._full_grids(u)
-        u, h = self._grid(u, h)
-        out = tuple(np.zeros_like(u) for _ in range(4))
-        self._run_hessian(u, h, out, ring=True)
-        return out
-
-    def apply_linearization(self, p11, p22, p12, q12, v, h) -> np.ndarray:
-        """sum a^{ij} v_{ij} on the interior of full 4d grids, with
-        coefficients (p11, p22, p12, q12); the ring of the result is zero."""
-        self._full_grids(p11, p22, p12, q12, v)
-        v, h = self._grid(v, h)
-        coef = [np.ascontiguousarray(c, dtype=np.float64) for c in (p11, p22, p12, q12)]
-        out = np.zeros_like(v)
-        self._run_apply(v, h, coef, out, ring=True)
-        return out
+        cstrides = _strides(coef, inner)
+        if cstrides is None:
+            coef = [np.array(c, dtype=np.float64, order="C") for c in coef]
+            cstrides = _strides(coef, inner)
+        ostrides = self._outputs((out,), 1, v, coef)
+        self._apply(n, np.array(v.shape, dtype=np.intp), h, v, _pointers(coef),
+                    cstrides, out.ctypes.data, ostrides)
 
 
 def load() -> Kernels:

@@ -8,9 +8,11 @@
  * in row order, n * n fields in all.  Only interior nodes are computed.
  * Every output and coefficient field is addressed by a pointer to its
  * value at the first interior node and by per-axis element strides, so
- * one loop writes either an interior-only array or the interior of a
- * full grid whose ring keeps what the caller put there.  The last axis
- * of every field must be contiguous (stride 1).
+ * one loop writes into any array the caller owns: an interior-only
+ * array, or the interior view of a full grid whose ring keeps what the
+ * caller put there.  The input grid is C-contiguous; the last axis of
+ * every other field must be contiguous (stride 1), and the fields of
+ * one group (outputs, coefficients) share their strides.
  *
  * Semantics, and the order of every rounding, match kernels/fallback.py,
  * the numpy reference; C multiplies by 1/h^2 where numpy divides by h^2.

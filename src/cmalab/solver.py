@@ -15,7 +15,8 @@ layout, the coef order of cmalab.kernels.  The Hessian and the apply
 always go through cmalab.kernels, looked up at call time: C when it
 builds, else the numpy reference.  For n = 2 they are the full-grid
 entry points `hessian_fields` and `apply_linearization`; for n >= 3,
-`hessian_interior` and `apply_interior` on interior arrays.  The n = 2
+`hessian_interior` and `apply_interior`, which write interior fields
+into arrays the solver owns.  The n = 2
 guard, log-det and inverse are closed forms (det, adjugate / det); for
 n >= 3 they come from a field-wise LDL^H factorization of the
 coef-order Hessian fields, each factor entry a whole interior array.
@@ -76,7 +77,6 @@ class NewtonConfig:
     max_iters: int = 30
     min_step: float = 2.0 ** -20
     psd_guard: float = 1e-12
-    inner_maxiter: int = 400
     workers: int = None   # sine-transform workers; None: every usable core
 
     def __post_init__(self):
@@ -89,8 +89,6 @@ class NewtonConfig:
             raise ValueError("min_step must be finite and positive")
         if not (math.isfinite(self.psd_guard) and self.psd_guard >= 0):
             raise ValueError("psd_guard must be finite and >= 0")
-        if self.inner_maxiter < 1:
-            raise ValueError("inner_maxiter must be >= 1")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -187,7 +185,9 @@ def _checked_hessian(u: GridField, guard: float):
         det = h11 * h22 - hre ** 2 - him ** 2
         ok = (h11 > guard) & (det > guard)
     else:
-        fields = tuple(kernels.hessian_interior(u.values, dom.spacings))
+        fields = tuple(np.empty(tuple(s - 2 for s in dom.shape))
+                       for _ in range(dom.n ** 2))
+        kernels.hessian_interior(u.values, dom.spacings, fields)
         ok = _margin_ok(fields, dom.n, guard)
     if not np.all(ok):
         raise NotPlurisubharmonic(_first_bad_node(ok))
@@ -217,7 +217,8 @@ class WirtingerOperator:
     n = 2 they are full grids with a zero ring, the layout of the
     kernels.apply_linearization entry point; for n >= 3 they cover the
     interior only, the layout of kernels.apply_interior, which keeps the
-    larger grids small.  Either way the stencil runs in C when it builds.
+    larger grids small and writes straight into the interior of the
+    zero-ring output.  Either way the stencil runs in C when it builds.
     """
 
     domain: GridDomain
@@ -228,7 +229,7 @@ class WirtingerOperator:
         if self.domain.n == 2:
             return kernels.apply_linearization(*self.coef, v, h)
         out = np.zeros_like(v)
-        out[_interior(v.shape)] = kernels.apply_interior(self.coef, v, h)
+        kernels.apply_interior(self.coef, v, h, out[_interior(v.shape)])
         return out
 
     def mean_diagonal(self) -> tuple:
@@ -397,6 +398,10 @@ def default_init(prob: DirichletProblem, guard: float = 1e-12,
         message="no plurisubharmonic default initialization found; supply init=")
 
 
+# cap on the BiCGStab iterations of one Newton step
+_INNER_MAXITER = 400
+
+
 def _forcing(res_norm: float, prev_norm: float, tol: float) -> float:
     """Relative tolerance of the inner solve at outer residual res_norm.
 
@@ -482,7 +487,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
             count[0] += 1
 
         d, info = spla.bicgstab(A, b, rtol=eta, atol=0.0, M=M,
-                                maxiter=cfg.inner_maxiter, callback=cb)
+                                maxiter=_INNER_MAXITER, callback=cb)
         # free this operator before the line search and the next assembly
         del op, pre, A, M
         inner_counts.append(count[0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BasePointOffSingularSet
 from .families import SolutionFamily, eval_value
-from .grid import as_point
+from .grid import as_point, wirtinger_from_real_hessian
 from .hermitian import HermitianForm, herm_det, psd_report
 
 __all__ = ["QuadraticJet", "g_operator", "complex_hessian_of_jet",
@@ -67,13 +67,7 @@ class QuadraticJet:
 
 def complex_hessian_of_jet(q: QuadraticJet) -> HermitianForm:
     """Exact Wirtinger combination of the jet's real Hessian (no FD)."""
-    H = q.hess
-    n = H.shape[0] // 2
-    xi = np.arange(n) * 2
-    yi = xi + 1
-    re = H[np.ix_(xi, xi)] + H[np.ix_(yi, yi)]
-    im = H[np.ix_(xi, yi)] - H[np.ix_(yi, xi)]
-    return HermitianForm(0.25 * (re + 1j * im))
+    return HermitianForm(wirtinger_from_real_hessian(q.hess))
 
 
 def _limit_family(u: SolutionFamily) -> SolutionFamily:

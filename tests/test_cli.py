@@ -50,6 +50,9 @@ def test_bad_config_exits_2(tmp_path):
     (["verify"], {"points": float("nan")}, "points"),
     (["probe"], {"use_laplacian": "false"}, "use_laplacian"),
     (["probe"], {"use_laplacian": 0}, "use_laplacian"),
+    (["solve", "--points", "9"], {"threads": 2.5}, "threads"),
+    (["solve", "--points", "9"], {"threads": True}, "threads"),
+    (["verify"], {"points": True}, "points"),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
                                             argv, config, key):

@@ -13,7 +13,7 @@ from cmalab import kernels, solver
 from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, _second_diff, sample
-from cmalab.kernels.fallback import hessian_interior
+from cmalab.kernels import fallback
 from cmalab.cli import main
 from cmalab.solver import (DirichletProblem, NewtonConfig, _DstPreconditioner, _forcing,
                            _inverse_coef, _ldlh, _margin_ok, _poisson, _quadratic_fit,
@@ -58,6 +58,14 @@ def coef_fields(H):
     return fields
 
 
+def reference_hessian(u):
+    """Interior FD complex-Hessian fields of u from the numpy reference."""
+    shape = tuple(s - 2 for s in u.domain.shape)
+    fields = tuple(np.empty(shape) for _ in range(u.domain.n ** 2))
+    fallback.hessian_interior(u.values, u.domain.spacings, fields)
+    return fields
+
+
 def random_pd_stack(n, nodes, seed=0):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(nodes, n, n)) + 1j * rng.normal(size=(nodes, n, n))
@@ -66,7 +74,7 @@ def random_pd_stack(n, nodes, seed=0):
 
 def first_bad_by_eigvalsh(u, guard=1e-12):
     """The first failing interior node of the rule eigvalsh(H)[..., 0] > guard."""
-    fields = tuple(hessian_interior(u.values, u.domain.spacings))
+    fields = reference_hessian(u)
     ok = np.linalg.eigvalsh(dense_stack(fields, u.domain.n))[..., 0] > guard
     idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
     return tuple(int(i) + 1 for i in idx)
@@ -211,7 +219,7 @@ def test_linearization_diagonal_inverse():
 def test_linearization_ellipticity(n, points):
     prob, oracle = manufactured(points, n=n)
     op = assemble_linearization(oracle)
-    fields = tuple(hessian_interior(oracle.values, prob.domain.spacings))
+    fields = reference_hessian(oracle)
     H = dense_stack(fields, n)
     core = (slice(1, -1),) * (2 * n)
     coef = op.coef if n > 2 else tuple(c[core] for c in op.coef)
@@ -244,6 +252,22 @@ def test_linearization_consistency(n, points):
     op = assemble_linearization(oracle)
     gap = (r_plus.values - r_minus.values) / (2 * t) - op.apply(v)
     assert np.max(np.abs(gap[core])) < 1e-5
+
+
+def test_n3_apply_has_a_zero_ring_and_the_interior_kernel():
+    prob, oracle = manufactured(7, n=3)
+    dom = prob.domain
+    op = assemble_linearization(oracle)
+    v = np.random.default_rng(3).normal(size=dom.shape)
+    out = op.apply(v)
+    core = (slice(1, -1),) * 6
+    ring = np.ones(dom.shape, dtype=bool)
+    ring[core] = False
+    want = np.empty(tuple(s - 2 for s in dom.shape))
+    kernels.apply_interior(op.coef, v, dom.spacings, want)
+    assert out.shape == dom.shape
+    assert not np.any(out[ring])
+    assert np.array_equal(out[core], want)
 
 
 def test_newton_squared_modulus():
@@ -475,7 +499,7 @@ def test_default_init_and_solve_build_no_coordinate_array(monkeypatch, tmp_path)
 @pytest.mark.parametrize("kwargs", [
     {"min_step": 0.0}, {"min_step": -1.0}, {"min_step": float("inf")},
     {"min_step": float("nan")}, {"psd_guard": -1e-12}, {"psd_guard": float("inf")},
-    {"psd_guard": float("nan")}, {"inner_maxiter": 0},
+    {"psd_guard": float("nan")},
 ])
 def test_newton_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -483,7 +507,7 @@ def test_newton_config_rejects_bad_values(kwargs):
 
 
 def test_newton_config_edge_values_are_legal():
-    NewtonConfig(min_step=2.0, psd_guard=0.0, inner_maxiter=1)
+    NewtonConfig(min_step=2.0, psd_guard=0.0)
 
 
 def test_line_search_counts_halvings_and_psh_rejects(monkeypatch):
