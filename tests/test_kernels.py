@@ -38,6 +38,38 @@ def _ring(shape):
     return ring
 
 
+def _full_grid_outputs(impl, u, coeffs, h, monkeypatch):
+    """The four n = 2 Hessian fields and the apply of the full-grid entry
+    points, computed over `impl`."""
+    monkeypatch.setattr(kernels, "_impl", impl)
+    return kernels.hessian_fields(u, h) + (kernels.apply_linearization(*coeffs, u, h),)
+
+
+@needs_c
+def test_hessian_fields_match(monkeypatch):
+    # non-power-of-two spacings: C multiplies by 1/h^2 where numpy divides
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(8, 9, 10, 11))
+    coeffs = [rng.normal(size=u.shape) for _ in range(4)]
+    h = [0.1, 0.11, 0.12, 0.13]
+    got = _full_grid_outputs(kernels._impl, u, coeffs, h, monkeypatch)[:4]
+    want = _full_grid_outputs(fallback, u, coeffs, h, monkeypatch)[:4]
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) < 1e-12
+        assert np.all(a[0] == 0) and np.all(a[-1] == 0)  # ring untouched
+
+
+@needs_c
+def test_apply_matches(monkeypatch):
+    rng = np.random.default_rng(1)
+    u = rng.normal(size=(8, 9, 10, 11))
+    coeffs = [rng.normal(size=u.shape) for _ in range(4)]
+    h = [0.1, 0.11, 0.12, 0.13]
+    a = _full_grid_outputs(kernels._impl, u, coeffs, h, monkeypatch)[4]
+    b = _full_grid_outputs(fallback, u, coeffs, h, monkeypatch)[4]
+    assert np.max(np.abs(a - b)) < 1e-12
+
+
 @needs_c
 @pytest.mark.parametrize("points", [9, 17])
 def test_c_and_numpy_bitwise_equal(points, monkeypatch):
@@ -48,11 +80,8 @@ def test_c_and_numpy_bitwise_equal(points, monkeypatch):
     h = [2.0 / (points - 1)] * 4
     u = rng.normal(size=shape)
     coeffs = [rng.normal(size=shape) for _ in range(4)]
-    outs = []
-    for impl in (kernels._impl, fallback):
-        monkeypatch.setattr(kernels, "_impl", impl)
-        outs.append(kernels.hessian_fields(u, h)
-                    + (kernels.apply_linearization(*coeffs, u, h),))
+    outs = [_full_grid_outputs(impl, u, coeffs, h, monkeypatch)
+            for impl in (kernels._impl, fallback)]
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
 
