@@ -1,16 +1,18 @@
 """Benchmark: compiled stencil kernels against the numpy fallback, and the
 sine-transform preconditioner solve in float64 and in float32.
 
-Run as: python benchmarks/bench_stencil.py [points_per_axis] [dst_workers]
+Run as: python benchmarks/bench_stencil.py [points_per_axis]
 
 The n = 2 kernels run on a points_per_axis^4 grid; the interior kernels
 of n = 3 always on a 9^6 grid, the grid of the perfbench solve-c3
 workload.
 
-Every line names the active kernel (kernels.IMPL), the sine-transform
-worker count, the usable cores and the peak RSS so far.
+Every line names the active kernel (kernels.IMPL), the BLAS threads
+(OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, read at process start, else the
+usable cores), the usable cores and the peak RSS so far.
 """
 
+import os
 import resource
 import sys
 import time
@@ -20,7 +22,8 @@ import numpy as np
 from cmalab import kernels
 from cmalab.grid import GridDomain
 from cmalab.kernels import _impl, fallback
-from cmalab.solver import _DstPreconditioner, usable_cores
+from cmalab.cli import _blas_threads
+from cmalab.solver import _DstPreconditioner
 
 
 def _over(impl, fn):
@@ -45,12 +48,11 @@ def _time(fn, *args, repeats=3):
 
 def main():
     npts = int(sys.argv[1]) if len(sys.argv) > 1 else 33
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else usable_cores()
 
     def report(line):
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{line}  [impl={kernels.IMPL} workers={workers} "
-              f"cores={usable_cores()} maxrss={rss:.0f}MiB]")
+        print(f"{line}  [impl={kernels.IMPL} threads={_blas_threads()} "
+              f"cores={len(os.sched_getaffinity(0))} maxrss={rss:.0f}MiB]")
 
     rng = np.random.default_rng(0)
     u = rng.normal(size=(npts,) * 4)
@@ -93,10 +95,10 @@ def main():
     dom = GridDomain(np.zeros(4), np.ones(4), (npts,) * 4, max_nodes=npts ** 4)
     r = rng.normal(size=(npts - 2) ** 4)
     means = [1.0, 2.0]
-    t64, y64 = _time(_DstPreconditioner(dom, means, workers).solve, r)
-    t32, y32 = _time(_DstPreconditioner(dom, means, workers, dtype=np.float32).solve, r)
+    t64, y64 = _time(_DstPreconditioner(dom, means).solve, r)
+    t32, y32 = _time(_DstPreconditioner(dom, means, dtype=np.float32).solve, r)
     rel = float(np.linalg.norm(y32 - y64) / np.linalg.norm(y64))
-    report(f"dst solve ({npts - 2}^4) float64: {t64:.3f}s  float32: {t32:.3f}s  "
+    report(f"dst solve ({npts - 2}^4) float64: {t64 * 1e3:.2f}ms  float32: {t32 * 1e3:.2f}ms  "
            f"speedup {t64 / t32:.2f}x  rel gap {rel:.2e}")
 
 

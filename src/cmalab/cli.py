@@ -30,7 +30,7 @@ from .errors import (CmaLabError, ConfigError, GridTooLarge, NonConverged,
 from .families import SolutionFamily, eval_analytic_hessian, eval_rhs, verify_identity
 from .grid import (DEFAULT_MAX_NODES, GridDomain, complex_hessian_fd, field_to_csv,
                    sample)
-from .solver import DirichletProblem, NewtonConfig, newton_solve, usable_cores
+from .solver import DirichletProblem, NewtonConfig, newton_solve
 
 __all__ = ["main"]
 
@@ -117,13 +117,12 @@ class _Settings:
                               f"got {value!r}") from None
 
 
-def _threads(settings: _Settings) -> int:
-    """Sine-transform threads: --threads, the config, else every usable
-    core."""
-    threads = settings.number("threads", int, usable_cores())
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return threads
+def _blas_threads() -> str:
+    """BLAS threads as the environment sets them at process start, else
+    the cores this process may run on (its CPU affinity where the OS has one)."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+            or str(cores or 1))
 
 
 def _family_from(settings: _Settings) -> SolutionFamily:
@@ -212,7 +211,6 @@ def _cmd_solve(settings: _Settings, out_dir: str, seed: int) -> int:
     cfg = NewtonConfig(
         tol_residual=settings.number("tol_residual", float, 1e-10),
         max_iters=settings.number("max_iters", int, 30),
-        workers=_threads(settings),
     )
     try:
         out = newton_solve(prob, cfg)
@@ -332,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=str, default=None)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--family", type=str)
@@ -402,12 +399,15 @@ def main(argv=None) -> int:
         if not isinstance(out, str):
             raise ConfigError(f"out must be a directory path, got {out!r}")
         out_dir = out   # set once checked: the exit line is logged under it
+        if "threads" in config:
+            raise ConfigError("threads is not a setting: BLAS reads "
+                              "OPENBLAS_NUM_THREADS / OMP_NUM_THREADS at start")
         seed = settings.number("seed", int, 0)
         kernel = kernels.IMPL
         if kernels.FALLBACK_REASON:
             kernel += f" ({kernels.FALLBACK_REASON})"
         _log(out_dir, f"subcommand={args.subcommand} seed={seed} "
-                      f"threads={_threads(settings)} kernels={kernel} "
+                      f"threads={_blas_threads()} kernels={kernel} "
                       f"config={args.config or '-'}")
         code = _COMMANDS[args.subcommand](settings, out_dir, seed)
     except (ConfigError, GridTooLarge, OSError, ValueError, KeyError) as exc:

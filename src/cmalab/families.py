@@ -39,8 +39,8 @@ class SolutionFamily:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not (np.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.kind == "pogorelov2" and self.dim != 2:
             raise ValueError("pogorelov2 lives in C^2")
         if self.kind == "pogorelov_n" and self.dim < 3:

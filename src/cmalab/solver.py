@@ -4,7 +4,8 @@ Box domains with Dirichlet data on a one-cell boundary ring.  The
 linearization of log det at u is the trace operator v -> sum of
 a^{ij} v_{ij} with a the inverse FD complex Hessian; Newton steps
 solve it with BiCGStab preconditioned by a constant-coefficient
-complex Laplacian inverted through fast sine transforms.  A halving
+complex Laplacian inverted through type-I sine transforms, each one
+BLAS matrix product per axis with an orthonormal sine matrix.  A halving
 line search keeps every accepted iterate strictly plurisubharmonic
 and the residual max-norm monotone.  Without an initial guess the
 solve starts from `default_init`: a Poisson problem with the Dirichlet
@@ -25,12 +26,10 @@ coef-order Hessian fields, each factor entry a whole interior array.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.fft as sfft
 import scipy.sparse.linalg as spla
 
 from . import kernels
@@ -39,15 +38,7 @@ from .grid import GridDomain, GridField
 
 __all__ = ["DirichletProblem", "NewtonConfig", "WirtingerOperator",
            "residual", "assemble_linearization", "newton_solve",
-           "default_init", "usable_cores"]
-
-
-def usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+           "default_init"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,6 @@ class NewtonConfig:
     max_iters: int = 30
     min_step: float = 2.0 ** -20
     psd_guard: float = 1e-12
-    workers: int = None   # sine-transform workers; None: every usable core
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -89,8 +79,6 @@ class NewtonConfig:
             raise ValueError("min_step must be finite and positive")
         if not (math.isfinite(self.psd_guard) and self.psd_guard >= 0):
             raise ValueError("psd_guard must be finite and >= 0")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _interior(shape):
@@ -260,43 +248,55 @@ def assemble_linearization(u: GridField, guard: float = 1e-12) -> WirtingerOpera
 
 class _DstPreconditioner:
     """Fast-diagonalization solve of the constant-coefficient surrogate
-    (Lynch, Rice & Thomas 1964): a type-I sine transform pair on
-    `workers` threads (None: every usable core).  The thread count does
-    not change the result.
+    (Lynch, Rice & Thomas 1964).  Each type-I sine transform is one BLAS
+    matrix product per axis with the orthonormal DST-I matrix
+    S = sqrt(2/(m+1)) sin(jk pi/(m+1)), which is symmetric and its own
+    inverse; BLAS runs it on the threads the environment gives it at
+    process start.
 
-    The transforms run in `dtype`: float64 where the solve is direct,
+    The products run in `dtype`: float64 where the solve is direct,
     float32 where it only preconditions a Krylov solve (about 3e-7
     relative error, which moves the search directions; BiCGStab still
-    measures its residual in float64).  The result is always a fresh
-    float64 vector."""
+    measures its residual in float64).  They alternate between a work
+    vector the preconditioner owns and the memory of the result, which
+    is always a fresh float64 vector."""
 
-    def __init__(self, domain: GridDomain, diag_means, workers: int = None,
-                 dtype=np.float64):
+    def __init__(self, domain: GridDomain, diag_means, dtype=np.float64):
         shape = tuple(s - 2 for s in domain.shape)
         h = domain.spacings
-        lam = []
+        eig = 0.0   # broadcast: only the last sum allocates a full array
+        self.sines = []
         for a, m in enumerate(shape):
             k = np.arange(1, m + 1)
-            lam.append((2.0 - 2.0 * np.cos(k * math.pi / (m + 1))) / (h[a] * h[a]))
-        eig = 0.0   # broadcast: only the last sum allocates a full array
-        for i, c in enumerate(diag_means):
-            xa, ya = 2 * i, 2 * i + 1
-            sh = [1] * len(shape)
-            sh[xa] = shape[xa]
-            eig = eig + 0.25 * c * lam[xa].reshape(sh)
-            sh = [1] * len(shape)
-            sh[ya] = shape[ya]
-            eig = eig + 0.25 * c * lam[ya].reshape(sh)
+            lam = (2.0 - 2.0 * np.cos(k * math.pi / (m + 1))) / (h[a] * h[a])
+            axis = [m if b == a else 1 for b in range(len(shape))]
+            eig = eig + 0.25 * diag_means[a // 2] * lam.reshape(axis)
+            sine = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * math.pi / (m + 1))
+            self.sines.append(sine.astype(dtype))
         self.shape = shape
         self.eig = eig.astype(dtype, copy=False)
-        self.workers = workers or usable_cores()
+        self.work = np.empty(self.eig.size, dtype)
+
+    def _transform(self, y, z):
+        # each product transforms the leading axis of y and rotates it to
+        # the back, so the 2n products (an even count) leave the axes in
+        # order and the result in y, with no transpose copies
+        for S in self.sines:
+            m = S.shape[0]
+            np.matmul(y.reshape(m, -1).T, S, out=z.reshape(-1, m))
+            y, z = z, y
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        y = r.reshape(self.shape).astype(self.eig.dtype)
-        y = sfft.dstn(y, type=1, workers=self.workers, overwrite_x=True)
-        y /= self.eig
-        y = sfft.idstn(y, type=1, workers=self.workers, overwrite_x=True)
-        return y.astype(np.float64, copy=False).ravel()
+        out = np.empty(r.size)
+        # the result's own memory is the second work vector until the end
+        y, z = self.work, out.view(self.work.dtype)[:r.size]
+        np.copyto(y, r, casting="same_kind")
+        self._transform(y, z)
+        grid = y.reshape(self.shape)
+        grid /= self.eig
+        self._transform(y, z)
+        np.copyto(out, y)
+        return out
 
 
 def _interior_linop(op: WirtingerOperator):
@@ -332,8 +332,7 @@ def _quadratic_fit(domain: GridDomain, boundary: GridField) -> float:
     return float(beta[0])
 
 
-def _poisson(domain: GridDomain, source, ring_values: np.ndarray = None,
-             workers: int = None) -> np.ndarray:
+def _poisson(domain: GridDomain, source, ring_values: np.ndarray = None) -> np.ndarray:
     """Solution u of Δ_h u = source on the interior with u = ring_values on
     the ring (zero when None); Δ_h is the 3-point real Laplacian.
 
@@ -357,7 +356,7 @@ def _poisson(domain: GridDomain, source, ring_values: np.ndarray = None,
                 face, ring_face = [slice(None)] * len(shape), list(core)
                 face[a] = ring_face[a] = end
                 rhs[tuple(face)] += ring_values[tuple(ring_face)] / (h[a] * h[a])
-    pre = _DstPreconditioner(domain, [4.0] * domain.n, workers)
+    pre = _DstPreconditioner(domain, [4.0] * domain.n)
     out[core] = pre.solve(rhs.ravel()).reshape(inner)
     return out
 
@@ -366,8 +365,7 @@ def _poisson(domain: GridDomain, source, ring_values: np.ndarray = None,
 _INIT_CANDIDATES = 12
 
 
-def default_init(prob: DirichletProblem, guard: float = 1e-12,
-                 workers: int = None) -> GridField:
+def default_init(prob: DirichletProblem, guard: float = 1e-12) -> GridField:
     """The discrete solution of Δ_h u = 4n c with the boundary data on
     the ring; c is raised until the FD Hessians are PD.
 
@@ -377,15 +375,14 @@ def default_init(prob: DirichletProblem, guard: float = 1e-12,
     ring data.  c starts at c0, the fitted coefficient (at least 0.25),
     and doubles up to `_INIT_CANDIDATES` candidates in all.  Candidate c
     is u0 + (c - c0) b with b = `_poisson`(4n) on a zero ring: at most
-    two direct solves per call, whatever the number of raises.
-    `workers` threads run the sine transforms (None: all cores)."""
+    two direct solves per call, whatever the number of raises."""
     dom = prob.domain
     c0 = c = max(_quadratic_fit(dom, prob.boundary), 0.25)
-    u0 = vals = _poisson(dom, 4 * dom.n * c0, prob.boundary.values, workers)
+    u0 = vals = _poisson(dom, 4 * dom.n * c0, prob.boundary.values)
     for k in range(_INIT_CANDIDATES):
         if k > 0:
             if k == 1:
-                bubble = _poisson(dom, 4 * dom.n, workers=workers)
+                bubble = _poisson(dom, 4 * dom.n)
             c *= 2.0
             vals = u0 + (c - c0) * bubble
         u = GridField(dom, vals)
@@ -442,7 +439,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     shape = dom.shape
     core = _interior(shape)
     if init is None:
-        init = default_init(prob, cfg.psd_guard, workers=cfg.workers)
+        init = default_init(prob, cfg.psd_guard)
     u = prob.boundary.values.copy()   # Dirichlet data exact at every iterate
     u[core] = init.values[core]
     cur = GridField(dom, u)
@@ -467,8 +464,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
             break
         iterations += 1
         op = assemble_linearization(cur, cfg.psd_guard)
-        pre = _DstPreconditioner(dom, op.mean_diagonal(), cfg.workers,
-                                 dtype=np.float32)
+        pre = _DstPreconditioner(dom, op.mean_diagonal(), dtype=np.float32)
         A = _interior_linop(op)
         psolve_count = [0]
 

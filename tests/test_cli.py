@@ -264,12 +264,30 @@ def test_viscosity_no_upper_touch(tmp_path):
     assert report["witnesses"] == 50
 
 
-def test_run_log_names_threads_and_kernels(tmp_path):
+def test_run_log_names_threads_and_kernels(tmp_path, monkeypatch, capsys):
+    # BLAS reads its thread count from the environment at process start;
+    # run.log names it from there, OPENBLAS_NUM_THREADS first
     out = str(tmp_path)
-    assert main(["solve", "--out", out, "--eps", "1.0", "--points", "9",
-                 "--threads", "1"]) == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert main(["solve", "--out", out, "--eps", "1.0", "--points", "9"]) == 0
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["verify", "--out", out, "--points", "10"]) == 0
     with open(os.path.join(out, "run.log")) as f:
-        first = f.readline()
-    assert " threads=1 " in first
-    assert " kernels=c " in first or " kernels=numpy (" in first
-    assert main(["solve", "--out", out, "--points", "9", "--threads", "0"]) == 2
+        starts = [ln for ln in f if " subcommand=" in ln]
+    assert " threads=1 " in starts[0] and " threads=3 " in starts[1]
+    assert " kernels=c " in starts[0] or " kernels=numpy (" in starts[0]
+    assert main(["solve", "--out", out, "--points", "9", "--threads", "1"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    capsys.readouterr()
+    assert main(["solve", "--out", out, "--points", "9", "--config", str(cfg)]) == 2
+    assert "OPENBLAS_NUM_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
+    out = str(tmp_path)
+    assert main(["solve", "--out", out, "--eps", eps, "--points", "5"]) == 2
+    assert "eps must be finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "failure.json"))

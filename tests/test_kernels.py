@@ -237,11 +237,11 @@ def test_interior_kernels_copy_noncontiguous_input():
 
 
 def test_bench_stencil_runs():
-    # nothing else runs this script; 9 points per axis, one DST worker
+    # nothing else runs this script; 9 points per axis, one BLAS thread
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, os.path.join(root, "benchmarks", "bench_stencil.py"),
-                          "9", "1"], env=env,
+                          "9"], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "apply_linearization" in out.stdout
@@ -249,6 +249,8 @@ def test_bench_stencil_runs():
     assert len(n3) == 1
     assert "hessian_interior" in n3[0] and "apply_interior" in n3[0]
     assert f"impl={kernels.IMPL} " in n3[0]
+    dst = [ln for ln in out.stdout.splitlines() if ln.startswith("dst solve (7^4) ")]
+    assert len(dst) == 1 and "float32" in dst[0] and " threads=1 " in dst[0]
 
 
 def test_fallback_hessian_on_quadratic():

@@ -530,23 +530,67 @@ def test_line_search_counts_halvings_and_psh_rejects(monkeypatch):
     assert all(r <= h for h, r in zip(out["halvings"], out["psh_rejects"]))
 
 
-def test_dst_workers_do_not_change_result():
-    dom = box(11)
-    r = np.random.default_rng(3).normal(size=9 ** 4)
-    one = _DstPreconditioner(dom, [1.0, 2.0], workers=1).solve(r)
-    two = _DstPreconditioner(dom, [1.0, 2.0], workers=2).solve(r)
-    assert np.array_equal(one, two)
-    with pytest.raises(ValueError):
-        NewtonConfig(workers=0)
+def reference_dst_solve(pre, r):
+    """The surrogate solve through scipy's float64 type-I sine transforms."""
+    y = sfft.dstn(r.reshape(pre.shape), type=1)
+    y /= pre.eig.astype(np.float64)
+    return sfft.idstn(y, type=1).ravel()
 
 
-def test_float32_dst_workers_do_not_change_result():
-    dom = box(11)
-    r = np.random.default_rng(3).normal(size=9 ** 4)
-    one = _DstPreconditioner(dom, [1.0, 2.0], workers=1, dtype=np.float32).solve(r)
-    two = _DstPreconditioner(dom, [1.0, 2.0], workers=2, dtype=np.float32).solve(r)
-    assert one.dtype == np.float64 and one.shape == r.shape
-    assert np.array_equal(one, two)
+@pytest.mark.parametrize("points, means", [
+    ((6, 9), [1.5]),
+    ((5, 9, 7, 6), [1.0, 2.5]),
+    ((5, 6, 4, 7, 6, 5), [1.0, 2.0, 0.5]),
+])
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-13), (np.float32, 2e-6)])
+def test_dst_solve_matches_scipy_dstn(points, means, dtype, rtol):
+    # non-cubic boxes: each axis has its own sine matrix and spacing
+    n = len(means)
+    dom = GridDomain(np.zeros(2 * n), np.linspace(0.5, 1.5, 2 * n), points)
+    pre = _DstPreconditioner(dom, means, dtype=dtype)
+    r = np.random.default_rng(len(points)).normal(size=pre.eig.size)
+    kept = r.copy()
+    y = pre.solve(r)
+    ref = reference_dst_solve(pre, r)
+    assert y.dtype == np.float64 and y.shape == r.shape
+    assert np.array_equal(r, kept)
+    assert np.linalg.norm(y - ref) <= rtol * np.linalg.norm(ref)
+    # a fresh vector each call, though the work vector is reused
+    again = pre.solve(r)
+    assert again is not y and np.array_equal(again, y)
+
+
+_DST_BYTES = """
+import hashlib
+import numpy as np
+from cmalab.grid import GridDomain
+from cmalab.solver import _DstPreconditioner
+dom = GridDomain(np.zeros(4), np.ones(4), (33, 29, 31, 27))
+r = np.random.default_rng(5).normal(size=31 * 27 * 29 * 25)
+for dtype in (np.float64, np.float32):
+    y = _DstPreconditioner(dom, [1.0, 2.0], dtype=dtype).solve(r)
+    print(hashlib.sha256(y.tobytes()).hexdigest())
+"""
+
+
+def _child(code, **env):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def test_dst_bytes_do_not_depend_on_blas_threads():
+    one, two = (_child(_DST_BYTES, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)
+                for k in ("1", "2"))
+    assert len(one.split()) == 2 and one == two
+
+
+def test_cli_import_leaves_out_scipy_fft():
+    code = "import sys, cmalab.cli; print('scipy.fft' in sys.modules)"
+    assert _child(code).strip() == "False"
 
 
 def test_float32_dst_close_to_float64():
@@ -577,18 +621,14 @@ def test_krylov_operators_only_see_float64(monkeypatch):
 
 
 def test_default_init_uses_float64_lift(monkeypatch):
-    # at eps = 0.05 the init raises once, so the bubble's solve runs too
+    # at eps = 0.05 the init raises once, so the bubble's solve runs too;
+    # float32 transforms would miss the float64 reference by about 1e-7
     probs = [manufactured(9, eps)[0] for eps in (1.0, 0.05)]
     inits = [default_init(prob) for prob in probs]
-
-    def reference_solve(self, r):
-        y = sfft.dstn(r.reshape(self.shape), type=1, workers=self.workers)
-        y /= self.eig
-        return sfft.idstn(y, type=1, workers=self.workers).ravel()
-
-    monkeypatch.setattr(_DstPreconditioner, "solve", reference_solve)
+    monkeypatch.setattr(_DstPreconditioner, "solve", reference_dst_solve)
     for prob, init in zip(probs, inits):
-        assert init.values.tobytes() == default_init(prob).values.tobytes()
+        ref = default_init(prob).values
+        assert np.max(np.abs(init.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_float32_preconditioner_keeps_inner_iterations(monkeypatch):
@@ -599,8 +639,8 @@ def test_float32_preconditioner_keeps_inner_iterations(monkeypatch):
     single = newton_solve(prob, cfg)
     real_init = _DstPreconditioner.__init__
 
-    def float64_init(self, domain, diag_means, workers=None, dtype=np.float64):
-        real_init(self, domain, diag_means, workers)
+    def float64_init(self, domain, diag_means, dtype=np.float64):
+        real_init(self, domain, diag_means)
 
     monkeypatch.setattr(_DstPreconditioner, "__init__", float64_init)
     double = newton_solve(prob, cfg)
