@@ -274,7 +274,7 @@ class _DstPreconditioner:
             sine = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * math.pi / (m + 1))
             self.sines.append(sine.astype(dtype))
         self.shape = shape
-        self.eig = eig.astype(dtype, copy=False)
+        self.eig = eig.astype(dtype, copy=False).ravel()
         self.work = np.empty(self.eig.size, dtype)
 
     def _transform(self, y, z):
@@ -292,8 +292,7 @@ class _DstPreconditioner:
         y, z = self.work, out.view(self.work.dtype)[:r.size]
         np.copyto(y, r, casting="same_kind")
         self._transform(y, z)
-        grid = y.reshape(self.shape)
-        grid /= self.eig
+        y /= self.eig
         self._transform(y, z)
         np.copyto(out, y)
         return out

@@ -533,7 +533,7 @@ def test_line_search_counts_halvings_and_psh_rejects(monkeypatch):
 def reference_dst_solve(pre, r):
     """The surrogate solve through scipy's float64 type-I sine transforms."""
     y = sfft.dstn(r.reshape(pre.shape), type=1)
-    y /= pre.eig.astype(np.float64)
+    y /= pre.eig.reshape(pre.shape).astype(np.float64)
     return sfft.idstn(y, type=1).ravel()
 
 
