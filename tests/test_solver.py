@@ -567,9 +567,8 @@ from cmalab.grid import GridDomain
 from cmalab.solver import _DstPreconditioner
 dom = GridDomain(np.zeros(4), np.ones(4), (33, 29, 31, 27))
 r = np.random.default_rng(5).normal(size=31 * 27 * 29 * 25)
-for dtype in (np.float64, np.float32):
-    y = _DstPreconditioner(dom, [1.0, 2.0], dtype=dtype).solve(r)
-    print(hashlib.sha256(y.tobytes()).hexdigest())
+y = _DstPreconditioner(dom, [1.0, 2.0], dtype=np.{}).solve(r)
+print(y.dtype, y.shape == r.shape, hashlib.sha256(y.tobytes()).hexdigest())
 """
 
 
@@ -582,10 +581,21 @@ def _child(code, **env):
     return child.stdout
 
 
-def test_dst_bytes_do_not_depend_on_blas_threads():
-    one, two = (_child(_DST_BYTES, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k)
-                for k in ("1", "2"))
-    assert len(one.split()) == 2 and one == two
+def _dst_bytes_under_one_and_two_threads(dtype):
+    code = _DST_BYTES.format(dtype)
+    return [_child(code, OPENBLAS_NUM_THREADS=k, OMP_NUM_THREADS=k).split()
+            for k in ("1", "2")]
+
+
+def test_dst_workers_do_not_change_result():
+    one, two = _dst_bytes_under_one_and_two_threads("float64")
+    assert one[:2] == ["float64", "True"] and one == two
+
+
+def test_float32_dst_workers_do_not_change_result():
+    # float32 transforms, float64 result of the input's shape
+    one, two = _dst_bytes_under_one_and_two_threads("float32")
+    assert one[:2] == ["float64", "True"] and one == two
 
 
 def test_cli_import_leaves_out_scipy_fft():
