@@ -5,7 +5,10 @@ Run as: python benchmarks/bench_stencil.py [points_per_axis]
 
 The n = 2 kernels run on a points_per_axis^4 grid; the interior kernels
 of n = 3 always on a 9^6 grid, the grid of the perfbench solve-c3
-workload.
+workload.  The fused det_interior and inverse_interior of n = 3 run on a
+plurisubharmonic 9^6 grid, each against the path they replace in the
+solver: hessian_interior, then the field-wise LDL^H factorization of the
+numpy reference.
 
 Every line names the active kernel (kernels.IMPL), the BLAS threads
 (OPENBLAS_NUM_THREADS / OMP_NUM_THREADS, read at process start, else the
@@ -22,6 +25,7 @@ import numpy as np
 from cmalab import kernels
 from cmalab.grid import GridDomain
 from cmalab.kernels import _impl, fallback
+from cmalab.kernels.fallback import _inverse_coef, _ldlh, _margin_ok
 from cmalab.cli import _blas_threads
 from cmalab.solver import _DstPreconditioner
 
@@ -91,6 +95,40 @@ def main():
            f"apply_interior {_impl.IMPL}: {t_ac:.4f}s  numpy: {t_af:.4f}s  "
            f"max gap {gap:.2e}")
     del u6, coef6, hess_c, hess_f, out_c, out_f
+
+    x = np.meshgrid(*[np.linspace(-1.0, 1.0, 9)] * 6, indexing="ij")
+    u6 = sum(xa ** 2 for xa in x) + 1e-3 * rng.normal(size=(9,) * 6)
+    inner = (7,) * 6
+
+    def fieldwise(inverse):
+        """hessian_interior, then the field-wise guard and factorization."""
+        fields = [np.empty(inner) for _ in range(9)]
+        _impl.hessian_interior(u6, h6, fields)
+        assert np.all(_margin_ok(fields, 3, 1e-12))
+        L, d = _ldlh(fields, 3)
+        return list(_inverse_coef(L, d)) if inverse else [d[0] * d[1] * d[2]]
+
+    def fused(impl, inverse):
+        out = [np.empty(inner) for _ in range(9 if inverse else 1)]
+        bad = (impl.inverse_interior(u6, h6, 1e-12, out) if inverse
+               else impl.det_interior(u6, h6, 1e-12, out[0]))
+        assert bad == -1
+        return out
+
+    times, gap = {}, 0.0
+    for inverse in (False, True):
+        t_w, want = _time(fieldwise, inverse)
+        times[inverse, "field-wise"] = t_w
+        for impl in (_impl, fallback):
+            times[inverse, impl.IMPL], got = _time(fused, impl, inverse)
+            gap = max([gap] + [float(np.max(np.abs(a - b))) for a, b in zip(got, want)])
+    report("fused n=3 9^6 " + "  ".join(
+        f"{name} {_impl.IMPL}: {times[inverse, _impl.IMPL]:.4f}s  "
+        f"numpy: {times[inverse, 'numpy']:.4f}s  "
+        f"hessian_interior+field-wise: {times[inverse, 'field-wise']:.4f}s"
+        for inverse, name in ((False, "det_interior"), (True, "inverse_interior")))
+        + f"  max gap {gap:.2e}")
+    del u6, x
 
     dom = GridDomain(np.zeros(4), np.ones(4), (npts,) * 4, max_nodes=npts ** 4)
     r = rng.normal(size=(npts - 2) ** 4)

@@ -1,14 +1,25 @@
 """Stencil kernels: compiled C if it builds here, numpy fallback otherwise.
 
-Two formulas, the FD complex Hessian and the linearized apply
-v -> sum a^{ij} v_{ij}, for every complex dimension n, on fields in one
-real order, the coef order: a^{ii} for i = 1..n, then Re a^{ij} and
-Im a^{ij} for each pair i < j.  Each implementation has exactly two
-entry points, `hessian_interior(u, h, out)` and
-`apply_interior(coef, v, h, out)`: they read a full 2n-d grid and write
-its interior nodes into arrays the caller owns, which may be strided
-views such as the interior of a full grid.  kernels.fallback is the
-numpy reference of both.
+The FD complex Hessian and the linearized apply v -> sum a^{ij} v_{ij},
+for every complex dimension n, on fields in one real order, the coef
+order: a^{ii} for i = 1..n, then Re a^{ij} and Im a^{ij} for each pair
+i < j.  Each implementation has four entry points.  They read a full
+2n-d grid and write its interior nodes into arrays the caller owns,
+which may be strided views such as the interior of a full grid:
+
+- `hessian_interior(u, h, out)`: the n * n Hessian fields;
+- `apply_interior(coef, v, h, out)`: the apply;
+- `det_interior(u, h, guard, out)`: det of the Hessian;
+- `inverse_interior(u, h, guard, coef_out)`: the n * n coef-order
+  fields of its inverse.
+
+The last two check at every node that the Hessian's smallest eigenvalue
+exceeds `guard` (every pivot of the LDL^H factorization of
+H - guard I is > 0; nan fails), then factor H and write their one
+output.  They return the flat C-order interior index of the first node
+that fails the guard, or -1.  The C kernel does this in one pass over
+the grid, node by node, with no whole-array temporaries.
+kernels.fallback is the numpy reference of all four.
 
 `hessian_fields` and `apply_linearization`, the n = 2 entry points on
 full 4d grids with a zero ring, are defined here once for both
@@ -45,6 +56,8 @@ else:
 IMPL = _impl.IMPL
 hessian_interior = _impl.hessian_interior
 apply_interior = _impl.apply_interior
+det_interior = _impl.det_interior
+inverse_interior = _impl.inverse_interior
 
 
 def _interior(a):
@@ -75,4 +88,5 @@ def apply_linearization(p11, p22, p12, q12, v, h) -> np.ndarray:
 
 
 __all__ = ["IMPL", "FALLBACK_REASON", "hessian_fields", "apply_linearization",
-           "hessian_interior", "apply_interior", "fallback"]
+           "hessian_interior", "apply_interior", "det_interior",
+           "inverse_interior", "fallback"]

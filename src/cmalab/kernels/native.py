@@ -1,10 +1,13 @@
 """Compiled stencil kernels: stencil.c built with the system C compiler.
 
-stencil.c has one Hessian loop and one apply loop for every complex
-dimension n up to its cap (`Kernels.max_n`).  Each writes through
-per-axis strides, so `hessian_interior` and `apply_interior` write into
-any output the caller owns whose last axis is contiguous: an interior
-array, or the interior view of a full grid.
+stencil.c has one Hessian loop, one apply loop and one fused
+factorization loop for every complex dimension n up to its cap
+(`Kernels.max_n`).  The factorization loop builds each node's Hessian,
+checks the guard on the LDL^H pivots of H - guard I and writes det H
+(`det_interior`) or the coefficients of H^{-1} (`inverse_interior`).
+Each loop writes through per-axis strides, so every entry point writes
+into any output the caller owns whose last axis is contiguous: an
+interior array, or the interior view of a full grid.
 
 The shared library is built on first use with
 ``cc -O3 -ffp-contract=off -shared -fPIC``
@@ -117,9 +120,9 @@ def _pointers(fields):
 
 
 class Kernels:
-    """The Hessian and apply entry points of kernels.fallback over the
-    loaded library, for any n up to `max_n`, with the same signatures
-    and results: each writes into output arrays the caller owns."""
+    """The entry points of kernels.fallback over the loaded library, for
+    any n up to `max_n`, with the same signatures and results: each
+    writes into output arrays the caller owns."""
 
     IMPL = "c"
 
@@ -133,6 +136,11 @@ class Kernels:
         self._apply.argtypes = [ctypes.c_int, _INDICES, _DOUBLES, _DOUBLES,
                                 _POINTERS, _INDICES, ctypes.c_void_p, _INDICES]
         self._apply.restype = None
+        self._det, self._inverse = lib.det, lib.inverse
+        for fn in (self._det, self._inverse):
+            fn.argtypes = [ctypes.c_int, _INDICES, _DOUBLES, _DOUBLES,
+                           ctypes.c_double, _POINTERS, _INDICES]
+            fn.restype = ctypes.c_ssize_t
 
     def _grid(self, u, h):
         """u as a C-contiguous float64 2n-d grid and h as its spacings,
@@ -195,6 +203,30 @@ class Kernels:
         ostrides = self._outputs((out,), 1, v, coef)
         self._apply(n, np.array(v.shape, dtype=np.intp), h, v, _pointers(coef),
                     cstrides, out.ctypes.data, ostrides)
+
+
+    def _factor(self, inverse, u, h, guard, out) -> int:
+        """One pass of the C `inverse` (n * n outputs) or `det` (one output)
+        kernel, after the checks."""
+        u, h = self._grid(u, h)
+        n = u.ndim // 2
+        ostrides = self._outputs(out, n * n if inverse else 1, u)
+        fn = self._inverse if inverse else self._det
+        return int(fn(n, np.array(u.shape, dtype=np.intp), h, u, float(guard),
+                      _pointers(out), ostrides))
+
+    def det_interior(self, u, h, guard, out) -> int:
+        """Write det of the interior FD complex Hessian of u into `out`, an
+        interior array; the flat C-order interior index of the first node
+        whose smallest eigenvalue is not above `guard`, or -1.  After a
+        failure the contents of `out` are unspecified."""
+        return self._factor(False, u, h, guard, (out,))
+
+    def inverse_interior(self, u, h, guard, coef_out) -> int:
+        """Write the inverse interior FD complex Hessian of u into
+        `coef_out`, n * n interior arrays in coef order; the first failing
+        node as `det_interior` reports it, or -1."""
+        return self._factor(True, u, h, guard, coef_out)
 
 
 def load() -> Kernels:

@@ -1,5 +1,11 @@
 /* Stencil kernels of the solver for every complex dimension n up to
- * STENCIL_MAX_N: the FD complex Hessian and the linearized apply.
+ * STENCIL_MAX_N: the FD complex Hessian, the linearized apply, and the
+ * fused det and inverse of the Hessian behind the positive-definiteness
+ * guard (`det`, `inverse`).  The fused loop builds each node's Hessian
+ * in registers, factors H - guard I as LDL^H in real arithmetic (a
+ * pivot that is not > 0 fails the node), then factors H and writes det
+ * H or the coefficients of H^{-1}; it returns the flat C-order interior
+ * index of the first failing node, or -1.  It needs no libm.
  *
  * The input grid function is a C-ordered 2n-d array over the real axes
  * (x1, y1, ..., xn, yn), shape[a] >= 3 nodes and spacing h[a] on axis a.
@@ -15,7 +21,9 @@
  * one group (outputs, coefficients) share their strides.
  *
  * Semantics, and the order of every rounding, match kernels/fallback.py,
- * the numpy reference; C multiplies by 1/h^2 where numpy divides by h^2.
+ * the numpy reference; C multiplies by 1/h^2 where numpy divides by h^2,
+ * and numpy may fuse a multiply and an add in a product of two complex
+ * fields, which first occurs in the factorization at n = 3.
  * cmalab.kernels.native builds and loads this file and checks every
  * argument before a pointer gets here.
  */
@@ -201,6 +209,188 @@ ALWAYS_INLINE void apply_n(int n, const ptrdiff_t *shape, const double *h,
     } while (next_row(nd, shape, idx, &g, &in, 2, off, strides));
 }
 
+/* The fused kernels take the nodes of a row two at a time, each matrix
+ * entry a vector of LANES = 2 values (one SSE2 register), so that every
+ * step of the factorization is one vector operation.  A row's last pair
+ * is its last two nodes, overlapping the pair before when the row has
+ * an odd length; a row of one node fills the second lane from the ring
+ * node after it, then replaces that lane by the identity and never
+ * writes it out.  That read stays inside the grid: every stencil of a
+ * node reaches at most (sum of all strides) - 1 elements away, and the
+ * last interior node lies (sum of all strides) before the grid's end. */
+#define LANES 2
+typedef double vec __attribute__((vector_size(8 * LANES)));
+typedef long long mask __attribute__((vector_size(8 * LANES)));
+
+ALWAYS_INLINE vec vload(const double *p)
+{
+    vec v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/* D2 and DX on the LANES nodes from p on */
+#define VD2(p, s) (vload((p) + (s)) - 2.0 * vload(p) + vload((p) - (s)))
+#define VDX(p, a, b) (vload((p) + (a) + (b)) - vload((p) + (a) - (b)) \
+                      - vload((p) + (b) - (a)) + vload((p) - (a) - (b)))
+
+/* The coef-order FD complex-Hessian entries of the LANES nodes from p on,
+ * in the order of lap, cross_re and cross_im. */
+ALWAYS_INLINE void hessian_lanes(int n, const geometry *g, const double *p,
+                                 vec *restrict H)
+{
+    const int pairs = n * (n - 1) / 2;
+    for (int i = 0; i < n; i++)
+        H[i] = 0.25 * (VD2(p, g->s[2 * i]) * g->ih2[2 * i]
+                       + VD2(p, g->s[2 * i + 1]) * g->ih2[2 * i + 1]);
+    for (int k = 0; k < pairs; k++) {
+        H[n + 2 * k] = 0.25 * (VDX(p, g->xi[k], g->xj[k]) * g->cxx[k]
+                               + VDX(p, g->yi[k], g->yj[k]) * g->cyy[k]);
+        H[n + 2 * k + 1] = 0.25 * (VDX(p, g->xi[k], g->yj[k]) * g->cxy[k]
+                                   - VDX(p, g->yi[k], g->xj[k]) * g->cyx[k]);
+    }
+}
+
+/* LDL^H factorization H - shift I = L diag(d) L^H of the Hermitian
+ * matrices with coef-order entries H, in real arithmetic: d[j] the
+ * pivots, inv[j] = 1 / d[j] for j < n - 1, (lr, li)[i * n + j] the
+ * entries of the unit lower factor L for j < i.  Sums in the order of
+ * fallback._ldlh.  Returns a mask of the lanes with a pivot that is not
+ * > 0 (nan included). */
+ALWAYS_INLINE mask ldlh(int n, const vec *H, double shift, vec *d, vec *inv,
+                        vec *lr, vec *li)
+{
+    const vec zero = {0};
+    mask bad = {0};
+    for (int j = 0; j < n; j++) {
+        vec dj = H[j] - shift;
+        for (int k = 0; k < j; k++)
+            dj -= (lr[j * n + k] * lr[j * n + k] + li[j * n + k] * li[j * n + k]) * d[k];
+        d[j] = dj;
+        bad |= ~(dj > zero);
+        if (j == n - 1)
+            break;
+        inv[j] = 1.0 / dj;
+        /* pair (j, i) of coef order for i = j + 1 .. n - 1 */
+        int f = n + 2 * (j * n - j * (j + 1) / 2);
+        for (int i = j + 1; i < n; i++, f += 2) {
+            vec sr = H[f], si = -H[f + 1];   /* H_ij = conj(H_ji) */
+            for (int m = 0; m < j; m++) {
+                /* L_im conj(L_jm) d_m */
+                const vec ar = lr[i * n + m], ai = li[i * n + m];
+                const vec br = lr[j * n + m], bi = li[j * n + m];
+                sr -= (ar * br + ai * bi) * d[m];
+                si -= (ai * br - ar * bi) * d[m];
+            }
+            lr[i * n + j] = sr * inv[j];
+            li[i * n + j] = si * inv[j];
+        }
+    }
+    return bad;
+}
+
+/* The n * n coef-order entries a of H^{-1} = M^H diag(1/d) M, M = L^{-1},
+ * from the factors of `ldlh`: a^{ij} = sum over k of conj(M_ki) M_kj / d_k.
+ * Completes inv with 1 / d[n - 1].  Sums in the order of
+ * fallback._inverse_coef. */
+ALWAYS_INLINE void invert(int n, const vec *d, vec *inv, const vec *lr,
+                          const vec *li, vec *a)
+{
+    vec mr[MAX_FIELDS], mi[MAX_FIELDS];
+    inv[n - 1] = 1.0 / d[n - 1];
+    for (int j = 0; j < n; j++)
+        for (int i = j + 1; i < n; i++) {
+            /* forward substitution: M_ij = -sum over j <= k < i of L_ik M_kj */
+            vec sr = -lr[i * n + j], si = -li[i * n + j];
+            for (int k = j + 1; k < i; k++) {
+                const vec ar = lr[i * n + k], ai = li[i * n + k];
+                const vec br = mr[k * n + j], bi = mi[k * n + j];
+                sr -= ar * br - ai * bi;
+                si -= ar * bi + ai * br;
+            }
+            mr[i * n + j] = sr;
+            mi[i * n + j] = si;
+        }
+    for (int i = 0; i < n; i++) {
+        vec s = inv[i];
+        for (int k = i + 1; k < n; k++)
+            s += (mr[k * n + i] * mr[k * n + i] + mi[k * n + i] * mi[k * n + i]) * inv[k];
+        a[i] = s;
+    }
+    int f = n;
+    for (int i = 0; i < n; i++)
+        for (int j = i + 1; j < n; j++, f += 2) {
+            vec sr = mr[j * n + i] * inv[j], si = -mi[j * n + i] * inv[j];
+            for (int k = j + 1; k < n; k++) {
+                /* conj(M_ki) M_kj / d_k */
+                const vec pr = mr[k * n + i], pi = mi[k * n + i];
+                const vec qr = mr[k * n + j], qi = mi[k * n + j];
+                sr += (pr * qr + pi * qi) * inv[k];
+                si += (pr * qi - pi * qr) * inv[k];
+            }
+            a[f] = sr;
+            a[f + 1] = si;
+        }
+}
+
+/* One pass over the interior, LANES nodes of a row at a time: the FD
+ * complex Hessian H in coef order, the guard (every pivot of H - guard I
+ * is > 0), then the factors of H and one output: det H, the product of
+ * the pivots, into out[0], or with `inverse` the n * n coef-order entries
+ * of H^{-1} into out[0 .. n*n-1].  Every output field has element
+ * strides ostride.  Returns the flat C-order interior index of the first
+ * node that fails the guard, where the pass stops, or -1. */
+ALWAYS_INLINE ptrdiff_t factor_n(int n, const ptrdiff_t *shape, const double *h,
+                                 const double *u, double guard,
+                                 double *const *out, const ptrdiff_t *ostride,
+                                 int inverse)
+{
+    const int nd = 2 * n, nout = inverse ? n * n : 1;
+    const ptrdiff_t len = shape[nd - 1] - 2;
+    geometry g;
+    make_geometry(&g, n, shape, h);
+    ptrdiff_t idx[MAX_AXES], in = 0, on = 0, node = 0;
+    for (int a = 0; a < nd; a++) {
+        idx[a] = 1;
+        in += g.s[a];
+    }
+    vec H[MAX_FIELDS], a[MAX_FIELDS];
+    /* the factors of H, and of H - guard I for the guard */
+    vec d[STENCIL_MAX_N], inv[STENCIL_MAX_N], lr[MAX_FIELDS], li[MAX_FIELDS];
+    vec dg[STENCIL_MAX_N], invg[STENCIL_MAX_N], lrg[MAX_FIELDS], lig[MAX_FIELDS];
+    do {
+        for (ptrdiff_t c = 0; c < len; c += LANES) {
+            if (c + LANES > len && len >= LANES)
+                c = len - LANES;
+            const int m = len < LANES ? 1 : LANES;   /* nodes in the lanes */
+            hessian_lanes(n, &g, u + in + c, H);
+            if (m < LANES)
+                for (int f = 0; f < n * n; f++)
+                    H[f][1] = f < n ? 1.0 : 0.0;
+            /* both factorizations before the check: they interleave */
+            const mask bad = ldlh(n, H, guard, dg, invg, lrg, lig);
+            ldlh(n, H, 0.0, d, inv, lr, li);
+            for (int w = 0; w < m; w++)
+                if (bad[w])
+                    return node + c + w;
+            if (inverse) {
+                invert(n, d, inv, lr, li, a);
+            } else {
+                a[0] = d[0];
+                for (int j = 1; j < n; j++)
+                    a[0] *= d[j];
+            }
+            for (int f = 0; f < nout; f++)
+                if (m == LANES)
+                    __builtin_memcpy(out[f] + on + c, &a[f], sizeof a[f]);
+                else
+                    out[f][on + c] = a[f][0];
+        }
+        node += len;
+    } while (next_row(nd, shape, idx, &g, &in, 1, &on, &ostride));
+    return -1;
+}
+
 /* The switches give the compiler a constant n for the common
  * dimensions, so it unrolls the term loops of each row. */
 void hessian(int n, const ptrdiff_t *shape, const double *h, const double *u,
@@ -231,5 +421,35 @@ void apply(int n, const ptrdiff_t *shape, const double *h, const double *v,
         break;
     default:
         apply_n(n, shape, h, v, coef, cstride, out, ostride);
+    }
+}
+
+/* det H at every interior node into out[0]; the first node that fails
+ * the guard, or -1 */
+ptrdiff_t det(int n, const ptrdiff_t *shape, const double *h, const double *u,
+              double guard, double *const *out, const ptrdiff_t *ostride)
+{
+    switch (n) {
+    case 2:
+        return factor_n(2, shape, h, u, guard, out, ostride, 0);
+    case 3:
+        return factor_n(3, shape, h, u, guard, out, ostride, 0);
+    default:
+        return factor_n(n, shape, h, u, guard, out, ostride, 0);
+    }
+}
+
+/* the coef-order entries of H^{-1} at every interior node into out[0 ..
+ * n*n-1]; the first node that fails the guard, or -1 */
+ptrdiff_t inverse(int n, const ptrdiff_t *shape, const double *h, const double *u,
+                  double guard, double *const *out, const ptrdiff_t *ostride)
+{
+    switch (n) {
+    case 2:
+        return factor_n(2, shape, h, u, guard, out, ostride, 1);
+    case 3:
+        return factor_n(3, shape, h, u, guard, out, ostride, 1);
+    default:
+        return factor_n(n, shape, h, u, guard, out, ostride, 1);
     }
 }

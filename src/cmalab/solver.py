@@ -15,19 +15,21 @@ Every complex dimension n keeps its operator coefficients in one real
 layout, the coef order of cmalab.kernels.  The Hessian and the apply
 always go through cmalab.kernels, looked up at call time: C when it
 builds, else the numpy reference.  For n = 2 they are the full-grid
-entry points `hessian_fields` and `apply_linearization`; for n >= 3,
-`hessian_interior` and `apply_interior`, which write interior fields
-into arrays the solver owns.  The n = 2
-guard, log-det and inverse are closed forms (det, adjugate / det); for
-n >= 3 they come from a field-wise LDL^H factorization of the
-coef-order Hessian fields, each factor entry a whole interior array.
+entry points `hessian_fields` and `apply_linearization`, and the guard,
+log-det and inverse are closed forms over the Hessian fields (det,
+adjugate / det).  For n >= 3 the apply is `apply_interior`, and
+`det_interior` and `inverse_interior` do the guard and the det or the
+inverse coefficients in one pass over the grid, node by node: each
+node's Hessian is factored as LDL^H, with no whole-array temporaries.
+Their outputs are interior arrays the solver owns.  The n >= 3 guard is
+"smallest eigenvalue > guard", checked at each node on the pivots of
+H - guard I.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -88,108 +90,50 @@ def _interior(shape):
 # ---------------------------------------------------------------------------
 # FD complex Hessians over the whole grid
 
-def _ldlh(fields, n, shift=0.0):
-    """Field-wise LDL^H factorization H - shift I = L diag(d) L^H.
+def _checked_hessian(u: GridField, guard: float, inverse: bool = False):
+    """det of the interior FD complex Hessian of u, as a new interior
+    array, or with `inverse` the coef-order coefficients of its inverse,
+    after the positive-definiteness guard; raises NotPlurisubharmonic at
+    the first node where it fails.
 
-    `fields` are the coef-order entry fields of the Hermitian matrix
-    field H.  Every entry is a whole array: the loops run over the
-    n(n+1)/2 entries, not over the nodes.  Returns (L, d): L[i][j] is
-    the complex field of the unit lower factor for j < i, d the n real
-    pivot fields.  A node that is not PD gets a pivot <= 0 or nan;
-    the warnings this raises on its way are suppressed.
-    """
-    upper = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
-    L = [[None] * n for _ in range(n)]
-    d = []
-    with np.errstate(all="ignore"):
-        for j in range(n):
-            dj = fields[j] - shift
-            for k in range(j):
-                dj = dj - (L[j][k].real ** 2 + L[j][k].imag ** 2) * d[k]
-            d.append(dj)
-            for i in range(j + 1, n):
-                k = n + 2 * upper[(j, i)]
-                s = fields[k] - 1j * fields[k + 1]   # H_ij = conj(H_ji)
-                for m in range(j):
-                    s = s - L[i][m] * L[j][m].conj() * d[m]
-                L[i][j] = s / dj
-    return L, d
-
-
-def _inverse_coef(L, d):
-    """Coef-order fields of H^{-1} = M^H diag(1/d) M, M = L^{-1}, from the
-    factors of `_ldlh`: a^{ij} = sum over k of conj(M_ki) M_kj / d_k."""
-    n = len(d)
-    M = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j + 1, n):
-            # forward substitution: M_ij = -sum over j <= k < i of L_ik M_kj
-            s = -L[i][j]
-            for k in range(j + 1, i):
-                s = s - L[i][k] * M[k][j]
-            M[i][j] = s
-    inv_d = [1.0 / dk for dk in d]
-    coef = []
-    for i in range(n):
-        a = inv_d[i].copy()
-        for k in range(i + 1, n):
-            a += (M[k][i].real ** 2 + M[k][i].imag ** 2) * inv_d[k]
-        coef.append(a)
-    for i, j in combinations(range(n), 2):
-        a = M[j][i].conj() * inv_d[j]
-        for k in range(j + 1, n):
-            a += M[k][i].conj() * M[k][j] * inv_d[k]
-        coef += [np.ascontiguousarray(a.real), np.ascontiguousarray(a.imag)]
-    return tuple(coef)
-
-
-def _margin_ok(fields, n, guard):
-    """Nodes whose smallest eigenvalue exceeds `guard`: every pivot of
-    H - guard I is positive there (a nan pivot fails)."""
-    return np.logical_and.reduce([p > 0 for p in _ldlh(fields, n, guard)[1]])
-
-
-def _first_bad_node(ok_interior):
-    idx = np.unravel_index(int(np.argmin(ok_interior)), ok_interior.shape)
-    return tuple(int(i) + 1 for i in idx)
-
-
-def _checked_hessian(u: GridField, guard: float):
-    """Interior FD complex Hessian of u, after the positive-definiteness guard.
-
-    Returns (H, pivots); log det of the Hessian is the sum of the logs of
-    the pivot fields.  For n = 2, H is the interior entry fields (h11,
-    h22, hre, him) and pivots is (det,); the guard is h11 > guard and
-    det > guard.  For n >= 3, H is the factor L and pivots are d of the
-    field-wise factorization Hessian = L diag(d) L^H (`_ldlh`); the
-    guard is `_margin_ok`, smallest eigenvalue > guard.  Raises
-    NotPlurisubharmonic at the first node where the guard fails.
+    For n = 2 the guard and both outputs are closed forms over the Hessian
+    fields: h11 > guard and det > guard; det = h11 h22 - |h12|^2; the
+    inverse as adjugate / det in full grids with a zero ring.  For n >= 3
+    one kernel pass does it all node by node (kernels.det_interior,
+    kernels.inverse_interior): the guard is that the smallest eigenvalue
+    exceeds `guard`, checked on the pivots of the LDL^H factorization of
+    H - guard I, and the inverse covers the interior only.
     """
     dom = u.domain
+    inner = tuple(s - 2 for s in dom.shape)
     if dom.n == 2:
         core = _interior(dom.shape)
-        H = tuple(f[core] for f in kernels.hessian_fields(u.values, dom.spacings))
-        h11, h22, hre, him = H
-        det = h11 * h22 - hre ** 2 - him ** 2
+        h11, h22, hre, him = (f[core] for f in kernels.hessian_fields(u.values, dom.spacings))
+        out = det = h11 * h22 - hre ** 2 - him ** 2
         ok = (h11 > guard) & (det > guard)
+        bad = -1 if np.all(ok) else int(np.argmin(ok))
+        if inverse and bad < 0:
+            out = tuple(np.zeros(dom.shape) for _ in range(4))
+            for c, num in zip(out, (h22, h11, -hre, -him)):
+                c[core] = num / det
+    elif inverse:
+        out = tuple(np.empty(inner) for _ in range(dom.n ** 2))
+        bad = kernels.inverse_interior(u.values, dom.spacings, guard, out)
     else:
-        fields = tuple(np.empty(tuple(s - 2 for s in dom.shape))
-                       for _ in range(dom.n ** 2))
-        kernels.hessian_interior(u.values, dom.spacings, fields)
-        ok = _margin_ok(fields, dom.n, guard)
-    if not np.all(ok):
-        raise NotPlurisubharmonic(_first_bad_node(ok))
-    return (H, (det,)) if dom.n == 2 else _ldlh(fields, dom.n)
+        out = np.empty(inner)
+        bad = kernels.det_interior(u.values, dom.spacings, guard, out)
+    if bad >= 0:
+        raise NotPlurisubharmonic(tuple(int(i) + 1 for i in np.unravel_index(bad, inner)))
+    return out
 
 
 def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> GridField:
     """Interior: log det(FD Hessian) - rhs.  Ring: u - boundary data."""
-    shape = prob.domain.shape
-    _, pivots = _checked_hessian(u, guard)
-    logdet = sum(np.log(p) for p in pivots)
+    logdet = _checked_hessian(u, guard)
+    np.log(logdet, out=logdet)
     out = u.values - prob.boundary.values
-    core = _interior(shape)
-    out[core] = logdet - prob.rhs.values[core]
+    core = _interior(prob.domain.shape)
+    np.subtract(logdet, prob.rhs.values[core], out=out[core])
     return GridField(prob.domain, out)
 
 
@@ -230,17 +174,7 @@ class WirtingerOperator:
 
 def assemble_linearization(u: GridField, guard: float = 1e-12) -> WirtingerOperator:
     """Inverse FD Hessian coefficients at every interior node."""
-    dom = u.domain
-    H, pivots = _checked_hessian(u, guard)
-    if dom.n != 2:
-        return WirtingerOperator(dom, _inverse_coef(H, pivots))
-    h11, h22, hre, him = H
-    det, = pivots
-    core = _interior(dom.shape)
-    coef = tuple(np.zeros(dom.shape) for _ in range(4))
-    for c, num in zip(coef, (h22, h11, -hre, -him)):
-        c[core] = num / det
-    return WirtingerOperator(dom, coef)
+    return WirtingerOperator(u.domain, _checked_hessian(u, guard, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +251,54 @@ def _interior_linop(op: WirtingerOperator):
 
 def _quadratic_fit(domain: GridDomain, boundary: GridField) -> float:
     """Coefficient c of the least-squares fit c |x|^2 + affine to the ring
-    values.  The affine columns stay in the fit because they move c."""
-    shape = domain.shape
-    ring = np.ones(shape, dtype=bool)
-    ring[_interior(shape)] = False
-    coords = []
-    for a in range(len(shape)):
-        sh = [1] * len(shape)
-        sh[a] = -1
-        coords.append(np.broadcast_to(domain.axis_coords(a).reshape(sh), shape)[ring])
-    cols = [sum(x ** 2 for x in coords), np.ones(len(coords[0]))] + coords
-    beta, *_ = np.linalg.lstsq(np.stack(cols, axis=1), boundary.values[ring], rcond=None)
-    return float(beta[0])
+    values.  The affine columns stay in the fit because they move c.
+
+    Solves the (2n+2)^2 normal equations in the coordinates t centred on
+    the box midpoint, with |t|^2 less its ring mean as the quadratic
+    column; neither change moves c.  The ring splits into 4n disjoint
+    face slabs: face (a, end) takes the interior nodes on the axes before
+    a, the end node on axis a and every node on the axes after it.  Each
+    face is a product of 1-d node sets, so its Gram entries are products
+    of 1-d moments of t, and its right-hand side contracts the face of
+    the data with the 1-d vectors t and t^2."""
+    values = boundary.values
+    d = values.ndim
+    t = [domain.axis_coords(a) - domain.center[a] for a in range(d)]
+    faces = []
+    for a in range(d):
+        for end in (slice(0, 1), slice(-1, None)):
+            sets = [x[1:-1] for x in t[:a]] + [t[a][end]] + t[a + 1:]
+            # mean moments of t, t^2, t^3, t^4 over each axis' node set
+            moments = [np.array([np.mean(x ** k) for x in sets]) for k in range(1, 5)]
+            faces.append((values[(slice(1, -1),) * a + (end,)], sets, moments))
+    sizes = np.array([face.size for face, _, _ in faces])
+    q_mean = np.dot(sizes, [m[1].sum() for _, _, m in faces]) / sizes.sum()
+    # unknowns: c, the constant, then the linear coefficient of each axis
+    gram = np.zeros((d + 2, d + 2))
+    rhs = np.zeros(d + 2)
+    for face, sets, (m1, m2, m3, m4) in faces:
+        # e: the face mean of phi phi^T, phi = (|t|^2 - q_mean, 1, t).  The
+        # axes vary independently over a face, so the variance of |t|^2 is
+        # the sum of the per-axis variances of t_a^2, and so on.
+        q = m2.sum() - q_mean   # the face mean of the quadratic column
+        e = np.empty((d + 2, d + 2))
+        e[0, 0] = np.sum(m4 - m2 * m2) + q * q
+        e[0, 1] = q
+        e[0, 2:] = m3 - m2 * m1 + q * m1
+        e[1, 1] = 1.0
+        e[1, 2:] = m1
+        e[2:, 2:] = np.outer(m1, m1)
+        e[2:, 2:][np.diag_indices(d)] = m2
+        e[1:, 0] = e[0, 1:]
+        e[2:, 1] = e[1, 2:]
+        gram += face.size * e
+        # face sums against 1, t_b and t_b^2 from its 1-d marginals
+        for b, x in enumerate(sets):
+            marginal = face.sum(axis=tuple(c for c in range(d) if c != b))
+            rhs[2 + b] += marginal @ x
+            rhs[0] += marginal @ (x * x - q_mean / d)
+        rhs[1] += marginal.sum()   # every marginal sums to the face sum
+    return float(np.linalg.solve(gram, rhs)[0])
 
 
 def _poisson(domain: GridDomain, source, ring_values: np.ndarray = None) -> np.ndarray:

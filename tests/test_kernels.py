@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def test_force_fallback_env():
 needs_c = pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
 
 # every implementation that runs here, the numpy reference first
-_IMPLS = [fallback] + ([kernels._impl] if kernels.IMPL == "c" else [])
+IMPLS = [fallback] + ([kernels._impl] if kernels.IMPL == "c" else [])
 
 
 def _core(ndim):
@@ -158,7 +159,7 @@ def test_full_grid_entry_points_keep_a_zero_ring(monkeypatch):
     u, coef, h = _interior_case(2, 5, views=True)
     shape = u.shape
     full_coef = [c.base for c in coef]
-    for impl in _IMPLS:
+    for impl in IMPLS:
         monkeypatch.setattr(kernels, "_impl", impl)
         outs = kernels.hessian_fields(u, h) + (kernels.apply_linearization(*full_coef, u, h),)
         wants = _interior_outputs(impl, u, [np.ascontiguousarray(c) for c in coef], h)
@@ -236,6 +237,167 @@ def test_interior_kernels_copy_noncontiguous_input():
             assert np.array_equal(a, b)
 
 
+def psh_grid(n, seed, spacings=None, shape=None):
+    """A grid function on the `_INTERIOR_CASES` grid of n (or `shape`), on
+    coordinates x_a = index * h_a, whose FD complex Hessians are positive
+    definite with nonzero complex off-diagonal entries: the convex
+    quadratic x^T A x for a random A, plus small noise that varies them
+    from node to node."""
+    h = spacings or _INTERIOR_CASES[n][1]
+    shape = shape or _INTERIOR_CASES[n][0]
+    x = np.meshgrid(*[np.arange(m) * ha for m, ha in zip(shape, h)], indexing="ij")
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(2 * n, 2 * n))
+    A = np.eye(2 * n) + 0.25 * B @ B.T / n
+    u = sum(A[a, b] * x[a] * x[b] for a in range(2 * n) for b in range(2 * n))
+    return u + 1e-4 * rng.normal(size=shape), h
+
+
+def margin_grid(n):
+    """(grid, guard): FD complex Hessians diag(1, ..., 1, 1 - k / 3) at
+    index k of the last real axis (the 3-point stencil is exact on the
+    cubic term), and the guard 4/9.  So the smallest eigenvalue is 3/2
+    guard at k = 1, which passes, and 3/4 guard at k = 2, the first
+    failing node."""
+    shape, h = _INTERIOR_CASES[n]
+    x = np.meshgrid(*[np.arange(m) * ha for m, ha in zip(shape, h)], indexing="ij")
+    return sum(xa ** 2 for xa in x) - 2.0 * x[-1] ** 3 / (9.0 * h[-1]), 4.0 / 9.0
+
+
+def _factor_outputs(impl, u, h, guard, views=False):
+    """(first failing node of det_interior, of inverse_interior, det,
+    inverse coefficients) of `impl`, written into interior arrays or, with
+    `views`, into the interior views of zero full grids, returned whole."""
+    n = u.ndim // 2
+    if views:
+        full = [np.zeros(u.shape) for _ in range(n * n + 1)]
+        outs = [f[_core(u.ndim)] for f in full]
+    else:
+        full = outs = [np.empty(tuple(s - 2 for s in u.shape)) for _ in range(n * n + 1)]
+    bad_det = impl.det_interior(u, h, guard, outs[0])
+    bad_inv = impl.inverse_interior(u, h, guard, outs[1:])
+    return bad_det, bad_inv, full[0], full[1:]
+
+
+def first_bad_index_by_eigvalsh(u, h, guard):
+    """Flat interior index of the first node whose smallest eigenvalue is
+    not above guard (nan fails), or -1, from the numpy Hessian."""
+    n = u.ndim // 2
+    fields = [np.empty(tuple(s - 2 for s in u.shape)) for _ in range(n * n)]
+    fallback.hessian_interior(u, h, fields)
+    H = np.zeros(fields[0].shape + (n, n), dtype=complex)
+    for i in range(n):
+        H[..., i, i] = fields[i]
+    for re, im, (i, j) in zip(fields[n::2], fields[n + 1::2], combinations(range(n), 2)):
+        H[..., i, j] = re + 1j * im
+        H[..., j, i] = re - 1j * im
+    finite = np.all(np.isfinite(H), axis=(-2, -1))
+    ok = np.zeros(finite.shape, dtype=bool)
+    ok[finite] = np.linalg.eigvalsh(H[finite])[..., 0] > guard
+    return -1 if np.all(ok) else int(np.argmin(ok))
+
+
+@needs_c
+@pytest.mark.parametrize("views", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_kernels_match_fallback(n, views):
+    # power-of-two spacings: bit for bit where numpy forms no product of
+    # two complex fields (n <= 2); otherwise within 1e-12, relative
+    other = [0.1 + 0.01 * a for a in range(2 * n)]
+    for spacings, exact in ((None, n <= 2), (other, False)):
+        u, h = psh_grid(n, n, spacings)
+        got = _factor_outputs(kernels._impl, u, h, 1e-12, views)
+        want = _factor_outputs(fallback, u, h, 1e-12, views)
+        assert got[:2] == want[:2] == (-1, -1)
+        assert len(got[3]) == len(want[3]) == n * n
+        for a, b in zip([got[2]] + got[3], [want[2]] + want[3]):
+            if exact:
+                assert np.array_equal(a, b)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            if views:
+                assert not np.any(a[_ring(u.shape)])
+
+
+@needs_c
+@pytest.mark.parametrize("last", [3, 4, 5])
+def test_factor_kernels_on_short_rows(last):
+    # rows of 1, 2 and 3 interior nodes: the C kernel takes nodes in pairs,
+    # a lone node with a padded lane, an odd row with an overlapping pair
+    shape = (5, 4, 3, last)
+    u, h = psh_grid(2, last, shape=shape)
+    got = _factor_outputs(kernels._impl, u, h, 1e-12, views=True)
+    want = _factor_outputs(fallback, u, h, 1e-12, views=True)
+    assert got[:2] == want[:2] == (-1, -1)
+    for a, b in zip([got[2]] + got[3], [want[2]] + want[3]):
+        assert np.array_equal(a, b)
+        assert not np.any(a[_ring(shape)])
+    for node in [(1, 1, 1, last - 2), (3, 2, 1, 1)]:   # the last of a row, a first
+        bad = u.copy()
+        bad[node] = np.nan
+        expected = first_bad_index_by_eigvalsh(bad, h, 1e-12)
+        for impl in IMPLS:
+            assert _factor_outputs(impl, bad, h, 1e-12)[:2] == (expected, expected)
+
+
+@needs_c
+@pytest.mark.parametrize("kind", ["concave", "nan", "margin"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_kernels_agree_on_the_first_failing_node(n, kind):
+    if kind == "margin":
+        u, guard = margin_grid(n)
+        h = _INTERIOR_CASES[n][1]
+    else:
+        (u, h), guard = psh_grid(n, 7), 1e-12
+        node = tuple(m // 2 for m in u.shape)
+        if kind == "concave":
+            u[node] += 10.0
+        else:
+            u[node] = np.nan
+    expected = first_bad_index_by_eigvalsh(u, h, guard)
+    assert expected >= 0
+    if kind == "margin":
+        assert expected == 1                      # interior (1, ..., 1, 2)
+    for impl in IMPLS:
+        bad_det, bad_inv, _, _ = _factor_outputs(impl, u, h, guard)
+        assert bad_det == bad_inv == expected
+
+
+@needs_c
+def test_factor_kernels_check_inputs(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("a bad argument reached C")
+
+    monkeypatch.setattr(kernels._impl, "_det", no_call)
+    monkeypatch.setattr(kernels._impl, "_inverse", no_call)
+    u, h = psh_grid(3, 0)
+    inner = tuple(s - 2 for s in u.shape)
+    outs = [np.empty(inner) for _ in range(9)]
+    read_only = np.empty(inner)
+    read_only.setflags(write=False)
+    bad_outs = [
+        read_only,                                              # read-only
+        np.empty(inner[:-1] + (2 * inner[-1],))[..., ::2],      # last stride 2
+        np.empty(inner, dtype=np.float32),                      # dtype
+        np.empty(inner[:-1] + (inner[-1] - 1,)),                # shape
+        u[_core(6)],                                            # overlaps the grid
+    ]
+    for bad in bad_outs:
+        with pytest.raises(ValueError):
+            kernels.det_interior(u, h, 1e-12, bad)
+        with pytest.raises(ValueError):
+            kernels.inverse_interior(u, h, 1e-12, outs[:-1] + [bad])   # a bad field last
+    full_view = np.zeros(u.shape)[_core(6)]
+    with pytest.raises(ValueError):
+        kernels.inverse_interior(u, h, 1e-12, outs[:-1] + [full_view])  # mismatched strides
+    with pytest.raises(ValueError):
+        kernels.inverse_interior(u, h, 1e-12, outs[:-1])           # output count
+    with pytest.raises(ValueError):
+        kernels.inverse_interior(u, h, 1e-12, outs + [np.empty(inner)])
+    with pytest.raises(ValueError):
+        kernels.det_interior(u, h, 1e-12, outs[:2])                # a group, not one array
+
+
 def test_bench_stencil_runs():
     # nothing else runs this script; 9 points per axis, one BLAS thread
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -249,6 +411,9 @@ def test_bench_stencil_runs():
     assert len(n3) == 1
     assert "hessian_interior" in n3[0] and "apply_interior" in n3[0]
     assert f"impl={kernels.IMPL} " in n3[0]
+    fused = [ln for ln in out.stdout.splitlines() if ln.startswith("fused n=3 9^6 ")]
+    assert len(fused) == 1
+    assert all(name in fused[0] for name in ("det_interior", "inverse_interior", "field-wise"))
     dst = [ln for ln in out.stdout.splitlines() if ln.startswith("dst solve (7^4) ")]
     assert len(dst) == 1 and "float32" in dst[0] and " threads=1 " in dst[0]
 

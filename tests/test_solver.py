@@ -14,10 +14,12 @@ from cmalab.errors import NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, _second_diff, sample
 from cmalab.kernels import fallback
+from cmalab.kernels.fallback import _inverse_coef, _ldlh, _margin_ok
 from cmalab.cli import main
+from test_kernels import IMPLS, first_bad_index_by_eigvalsh, margin_grid, psh_grid
 from cmalab.solver import (DirichletProblem, NewtonConfig, _DstPreconditioner, _forcing,
-                           _inverse_coef, _ldlh, _margin_ok, _poisson, _quadratic_fit,
-                           assemble_linearization, default_init, newton_solve, residual)
+                           _poisson, _quadratic_fit, assemble_linearization, default_init,
+                           newton_solve, residual)
 
 
 def box(points, n=2, hw=1.0):
@@ -125,6 +127,19 @@ def test_fieldwise_ldlh_matches_lapack(n):
                        rtol=0.0, atol=1e-12)
     a = dense_stack(_inverse_coef(L, d), n)
     assert np.allclose(a, np.linalg.inv(H), rtol=0.0, atol=1e-12)
+    # the fused entry points of each implementation, on a grid
+    u, h = psh_grid(n, seed=n)
+    inner = tuple(s - 2 for s in u.shape)
+    fields = tuple(np.empty(inner) for _ in range(n * n))
+    fallback.hessian_interior(u, h, fields)
+    H = dense_stack(fields, n)
+    for impl in IMPLS:
+        det, coef = np.empty(inner), tuple(np.empty(inner) for _ in range(n * n))
+        assert impl.det_interior(u, h, 1e-12, det) == -1
+        assert impl.inverse_interior(u, h, 1e-12, coef) == -1
+        assert np.allclose(np.log(det), np.sum(np.log(np.linalg.eigvalsh(H)), axis=-1),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(dense_stack(coef, n), np.linalg.inv(H), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("guard", [1e-12, 1e-3])
@@ -147,10 +162,29 @@ def test_fieldwise_guard_matches_eigvalsh(n, guard):
     expected[finite] = np.linalg.eigvalsh(H[finite])[..., 0] > guard
     assert expected[0] and not expected[1] and not expected[2] and not expected[3]
     assert np.array_equal(ok, expected)
+    # the fused entry points of each implementation, on grids: one that
+    # passes, one with a concave node, one with a nan node, and one whose
+    # first failing node has smallest eigenvalue 3/4 guard after one at
+    # 3/2 guard
+    u, h = psh_grid(n, seed=20 + n)
+    node = tuple(m // 2 for m in u.shape)
+    concave, nan = u.copy(), u.copy()
+    concave[node] += 10.0
+    nan[node] = np.nan
+    margin, margin_guard = margin_grid(n)
+    margin *= guard / margin_guard
+    inner = tuple(s - 2 for s in u.shape)
+    for grid, first in ((u, -1), (concave, None), (nan, None), (margin, 1)):
+        expected = first_bad_index_by_eigvalsh(grid, h, guard)
+        assert first is None or expected == first
+        for impl in IMPLS:
+            assert impl.det_interior(grid, h, guard, np.empty(inner)) == expected
+            coef = tuple(np.empty(inner) for _ in range(n * n))
+            assert impl.inverse_interior(grid, h, guard, coef) == expected
 
 
-@pytest.mark.parametrize("kind", ["concave", "cubic"])
-def test_residual_rejects_non_psh_n3(kind):
+def non_psh_n3(kind):
+    """A 7^6 grid function that is not plurisubharmonic, and its problem."""
     dom = box(7, n=3)
     c = dom.node_coords_flat()
     if kind == "concave":
@@ -159,12 +193,29 @@ def test_residual_rejects_non_psh_n3(kind):
         # u_{3 3bar} = 1 - 2.25 y3 with a cross term: fails at y3 = 2/3 only
         vals = np.sum(c ** 2, axis=1) - 1.5 * c[:, 5] ** 3 + 0.5 * c[:, 0] * c[:, 2]
     u = GridField(dom, vals.reshape(dom.shape))
-    prob = DirichletProblem(dom, GridField(dom, np.zeros(dom.shape)), u)
+    return u, DirichletProblem(dom, GridField(dom, np.zeros(dom.shape)), u)
+
+
+@pytest.mark.parametrize("kind", ["concave", "cubic"])
+def test_residual_rejects_non_psh_n3(kind):
+    u, prob = non_psh_n3(kind)
     with pytest.raises(NotPlurisubharmonic) as exc:
         residual(u, prob)
     assert exc.value.node == first_bad_by_eigvalsh(u)
     if kind == "cubic":
         assert exc.value.node == (1, 1, 1, 1, 1, 5)
+
+
+def test_rejected_node_is_the_fieldwise_guards():
+    # the node the fused kernels report is the first that the field-wise
+    # guard of the numpy reference fails
+    u, prob = non_psh_n3("cubic")
+    ok = _margin_ok(reference_hessian(u), 3, 1e-12)
+    node = tuple(int(i) + 1 for i in np.unravel_index(int(np.argmin(ok)), ok.shape))
+    for call in (lambda: residual(u, prob), lambda: assemble_linearization(u)):
+        with pytest.raises(NotPlurisubharmonic) as exc:
+            call()
+        assert exc.value.node == node
 
 
 def test_n3_paths_call_no_lapack(monkeypatch):
