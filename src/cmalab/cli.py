@@ -149,6 +149,10 @@ def _cmd_verify(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
     count = settings.number("points", int, 1000)
     min_w = settings.number("min_w", float, 1e-3)
+    # _random_points redraws w from [-1, 1]^2 until |w| > min_w: below 1 at
+    # least 1 - pi/4 of the draws pass, while min_w >= sqrt(2) passes none
+    if not 0 <= min_w < 1:
+        raise ConfigError(f"min_w must lie in [0, 1), got {min_w!r}")
     tol = settings.number("tol", float, 1e-10)
     rng = np.random.default_rng(seed)
     pts = _random_points(fam, count, min_w, rng)

@@ -5,14 +5,6 @@ class CmaLabError(Exception):
     """Base class for all package errors."""
 
 
-class SingularForm(CmaLabError):
-    """Hermitian form is numerically singular."""
-
-
-class NotPositiveDefinite(CmaLabError):
-    """A positive-definite matrix was required."""
-
-
 class IdentityViolated(CmaLabError):
     """A computed value breaks an identity that holds in exact arithmetic,
     for example from a non-finite input or an overflow."""

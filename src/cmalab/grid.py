@@ -1,11 +1,10 @@
 """Uniform grids on boxes in C^n = R^(2n), Wirtinger finite differences,
-and discrete L^p / W^{2,p} norms.
+and a CSV writer for grid fields.
 
 A point of C^n is stored as 2n reals (x1, y1, ..., xn, yn) with
 z_k = x_k + i y_k, so real axis 2k holds x_{k+1} and axis 2k+1 holds
 y_{k+1}.  All derivatives are second-order central differences; mixed
-derivatives use the 4-point cross stencil.  Norms are midpoint sums
-(node value times cell volume) over the non-excluded nodes.
+derivatives use the 4-point cross stencil.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "sample",
     "complex_hessian_fd",
     "complex_laplacian_fd",
-    "lp_norm",
-    "w2p_seminorm",
 ]
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -49,7 +46,7 @@ class GridDomain:
     """Box around `center` with per-axis half widths and node counts.
 
     `excluded_tube_radius` removes a tube around the singular set
-    {z over singular_axes = 0} from all norm integrals.
+    {z over singular_axes = 0} from the W^{2,p} integrals of `probe`.
     """
 
     center: np.ndarray
@@ -69,12 +66,14 @@ class GridDomain:
             pts = pts * center.size
         if hw.size != center.size or len(pts) != center.size:
             raise ValueError("center, half_widths and points_per_axis must agree")
-        if np.any(hw <= 0):
-            raise ValueError("half widths must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center must be finite")
+        if not np.all((hw > 0) & np.isfinite(hw)):
+            raise ValueError("half widths must be finite and positive")
         if any(p < 3 for p in pts):
             raise ValueError("need at least 3 points per axis")
-        if self.excluded_tube_radius < 0:
-            raise ValueError("excluded_tube_radius must be nonnegative")
+        if not 0 <= self.excluded_tube_radius < math.inf:
+            raise ValueError("excluded_tube_radius must be finite and nonnegative")
         if self.excluded_tube_radius >= float(np.min(hw)):
             raise ValueError("excluded_tube_radius must be below the smallest half width")
         total = math.prod(pts)
@@ -119,7 +118,7 @@ class GridDomain:
         return slabs.write(0, slabs.rows, np.empty((self.num_nodes, self.center.size)))
 
     def excluded_mask(self) -> np.ndarray:
-        """Boolean array over the grid, True where a node is excluded from norms."""
+        """Boolean array over the grid, True where a node is excluded from integrals."""
         mask = np.zeros(self.shape, dtype=bool)
         if self.excluded_tube_radius > 0:
             r2 = 0.0   # spans the singular axes only, by broadcasting
@@ -313,26 +312,6 @@ def complex_laplacian_fd(u: GridField) -> GridField:
     return GridField(u.domain, out, valid)
 
 
-# ---------------------------------------------------------------------------
-# norms
-
-def _usable_mask(f: GridField) -> np.ndarray:
-    mask = ~f.domain.excluded_mask()
-    if f.valid is not None:
-        mask &= f.valid
-    return mask
-
-
-def lp_norm(f: GridField, p: float) -> float:
-    """(sum |f|^p * cell volume)^{1/p} over valid, non-excluded nodes."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    mask = _usable_mask(f)
-    cell = float(np.prod(f.domain.spacings))
-    total = float(np.sum(np.abs(f.values[mask]) ** p)) * cell
-    return total ** (1.0 / p)
-
-
 def second_derivative_magnitude(u: GridField) -> GridField:
     """Pointwise Frobenius magnitude of the full real FD second-derivative
     matrix, on interior nodes (off-diagonal pairs counted twice)."""
@@ -356,17 +335,8 @@ def second_derivative_magnitude(u: GridField) -> GridField:
     return GridField(u.domain, out, valid)
 
 
-def w2p_seminorm(u: GridField, p: float) -> float:
-    """L^p norm of the full second-order central-difference array (interior)."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if any(s < 5 for s in u.domain.shape):
-        raise ValueError("w2p_seminorm needs at least 5 points per axis")
-    return lp_norm(second_derivative_magnitude(u), p)
-
-
 # ---------------------------------------------------------------------------
-# import/export
+# export
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -384,15 +354,3 @@ def field_to_csv(f: GridField) -> str:
     for v in f.values.ravel():
         w.writerow([_fmt(v)])
     return buf.getvalue()
-
-
-def field_from_csv(text: str) -> GridField:
-    rows = list(csv.reader(io.StringIO(text)))
-    hdr = {r[0]: r[1:] for r in rows[:5]}
-    pts = tuple(int(s) for s in hdr["points_per_axis"])
-    center = [float(s) for s in hdr["center"]]
-    hw = [float(s) for s in hdr["half_widths"]]
-    tube = float(hdr["excluded_tube_radius"][0])
-    dom = GridDomain(center, hw, pts, excluded_tube_radius=tube)
-    vals = np.array([float(r[0]) for r in rows[6:]])
-    return GridField(dom, vals.reshape(pts))

@@ -2,8 +2,8 @@
 
 Everything here operates on tiny matrices (complex dimension of the
 ambient space, so n <= ~6) and favours plain, checkable algorithms:
-eigenvalues come from LAPACK (numpy.linalg.eigvalsh), log-determinants
-from Cholesky pivots.
+eigenvalues come from LAPACK (numpy.linalg.eigvalsh), determinants from
+numpy.linalg.det.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentityViolated, NotPositiveDefinite, SingularForm
+from .errors import IdentityViolated
 
 __all__ = [
     "HermitianForm",
     "herm_det",
-    "herm_inverse",
     "psd_report",
-    "log_det",
 ]
 
 
@@ -53,21 +51,6 @@ def herm_det(h: HermitianForm) -> float:
     return float(d.real)
 
 
-def _det_scale(h: HermitianForm) -> float:
-    m = float(np.max(np.abs(h.entries)))
-    if m == 0.0:
-        return 1.0
-    return m ** h.dim
-
-
-def herm_inverse(h: HermitianForm) -> HermitianForm:
-    """Inverse, re-symmetrized; raises SingularForm near rank deficiency."""
-    d = herm_det(h)
-    if abs(d) < 1e-14 * _det_scale(h):
-        raise SingularForm(f"determinant {d:.3e} below tolerance")
-    return HermitianForm(np.linalg.inv(h.entries))
-
-
 def psd_report(h: HermitianForm, tol: float) -> dict:
     """Positivity report: min eigenvalue plus PSD / PD verdicts at tolerance."""
     if tol < 0:
@@ -79,15 +62,3 @@ def psd_report(h: HermitianForm, tol: float) -> dict:
         "is_psd": mn >= -tol,
         "is_pd": mn > tol,
     }
-
-
-def log_det(h: HermitianForm) -> float:
-    """log det via Cholesky pivots; stable for ill-conditioned PD matrices."""
-    try:
-        chol = np.linalg.cholesky(h.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    diag = np.diag(chol).real
-    if np.any(diag <= 0):
-        raise NotPositiveDefinite("nonpositive Cholesky pivot")
-    return float(2.0 * np.sum(np.log(diag)))

@@ -10,16 +10,15 @@ the pointwise third-order sub-sum inequality in diagonal coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IdentityViolated
 
 __all__ = [
-    "MoserParams", "ThirdOrderSample", "p_sequence", "critical_exponent",
-    "b_term", "b_product", "b_limit", "b_convergence_k", "a_coefficient",
-    "log_a_partial_sums", "chain_weight", "third_order_subsum_check",
+    "MoserParams", "p_sequence", "critical_exponent", "b_term", "b_product",
+    "b_limit", "a_coefficient", "log_a_partial_sums",
     "random_third_order_samples", "third_order_check_batch",
 ]
 
@@ -93,17 +92,6 @@ def b_limit(params: MoserParams) -> float:
     return params.p0 / params.a
 
 
-def b_convergence_k(params: MoserParams, tol: float = 1e-6) -> int:
-    """Smallest k with |b_product(k) - p0/a| < tol."""
-    limit = b_limit(params)
-    prod = 1.0
-    for k in range(1, K_CAP + 1):
-        prod *= b_term(params, k)
-        if abs(prod - limit) < tol:
-            return k
-    raise OverflowError(f"product did not reach tolerance {tol} by k = {K_CAP}")
-
-
 def a_coefficient(params: MoserParams, k: int, C: float = 1.0) -> float:
     """a_k = (C 2^k p_k^{3/2} / (R - r))^{1/p_k}."""
     _check_k(k, minimum=1)
@@ -122,59 +110,8 @@ def log_a_partial_sums(params: MoserParams, k_max: int, C: float = 1.0) -> np.nd
     return np.cumsum(terms)
 
 
-def chain_weight(params: MoserParams, k: int, C: float = 1.0) -> float:
-    """a_k a_{k-1}^{b_k} a_{k-2}^{b_k b_{k-1}} ... a_1^{b_k ... b_2}."""
-    _check_k(k, minimum=1)
-    log_w = 0.0
-    suffix = 1.0  # prod_{j=i+1..k} b_j, built from i = k downward
-    for i in range(k, 0, -1):
-        log_w += suffix * math.log(a_coefficient(params, i, C))
-        suffix *= b_term(params, i)
-    return math.exp(log_w)
-
-
 # ---------------------------------------------------------------------------
 # third-order sub-sum inequality
-
-@dataclass(frozen=True)
-class ThirdOrderSample:
-    """Diagonalized Hessian eigenvalues d and third-derivative tensor T.
-
-    T[a][b][k] stands for u_{a bbar k}; construction enforces the exact
-    symmetry T[a][b][k] = T[k][b][a] in the holomorphic indices.
-    """
-
-    d: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        T = np.asarray(self.T, dtype=complex)
-        n = d.size
-        if T.shape != (n, n, n):
-            raise ValueError("T must be an (n, n, n) tensor")
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be strictly positive")
-        T = 0.5 * (T + T.transpose(2, 1, 0))
-        d.setflags(write=False)
-        T.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "T", T)
-
-    @property
-    def n(self) -> int:
-        return self.d.size
-
-
-def third_order_subsum_check(s: ThirdOrderSample) -> dict:
-    """lhs = sum_{i,k} |T[i,k,k]|^2/(d_i d_k) against the full sum
-    rhs = sum_{a,b,k} |T[a,b,k]|^2/(d_a d_b); lhs is the b = k sub-sum."""
-    d = s.d
-    T = s.T
-    lhs = float(np.sum(np.abs(np.diagonal(T, axis1=1, axis2=2)) ** 2 / np.outer(d, d)))
-    rhs = float(np.einsum("abk,a,b->", np.abs(T) ** 2, 1.0 / d, 1.0 / d).real)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-12 * rhs}
-
 
 def random_third_order_samples(n: int, count: int, rng: np.random.Generator,
                                d_range=(1e-3, 1e3)):
@@ -188,7 +125,11 @@ def random_third_order_samples(n: int, count: int, rng: np.random.Generator,
 
 
 def third_order_check_batch(d: np.ndarray, T: np.ndarray) -> dict:
-    """Vectorized sub-sum check over stacked samples (count, n) / (count, n, n, n)."""
+    """Sub-sum check over stacked samples d (count, n) of Hessian
+    eigenvalues and T (count, n, n, n), T[c, a, b, k] standing for
+    u_{a bbar k} and symmetric in (a, k): per sample,
+    lhs = sum_{i,k} |T[i,k,k]|^2/(d_i d_k) is the b = k sub-sum of
+    rhs = sum_{a,b,k} |T[a,b,k]|^2/(d_a d_b)."""
     absT2 = np.abs(T) ** 2
     inv = 1.0 / d
     diag = np.abs(np.diagonal(T, axis1=2, axis2=3)) ** 2  # (count, n, n): [.., i, k] = T[i,k,k]

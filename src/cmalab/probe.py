@@ -1,10 +1,8 @@
 """Empirical regularity diagnostics for the singular limit functions.
 
 Holder exponents from log-log oscillation fits, W^{2,p} convergence or
-divergence under refinement with a shrinking excluded tube, the
-Lipschitz blow-up of the smoothed right-hand side as eps drops, and the
-eps -> 0 convergence modes (including the sup-norm gap on the singular
-slice, which is reported, never asserted).
+divergence under refinement with a shrinking excluded tube, and the
+Lipschitz blow-up of the smoothed right-hand side as eps drops.
 
 Divergence verdicts come from the refinement slope of the p-th power of
 the seminorm (the underlying integral): the -0.05 / -0.2 thresholds are
@@ -15,18 +13,17 @@ slope -> 0 and a non-integrable one gives a strictly negative power law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFit
-from .families import SolutionFamily, eval_rhs, eval_value
+from .families import SolutionFamily, eval_value
 from .grid import (GridDomain, complex_laplacian_fd, sample,
                    second_derivative_magnitude)
 
 __all__ = [
-    "holder_fit", "w2p_divergence_scan", "rhs_lipschitz_scaling",
-    "convergence_study", "ScanEntry",
+    "holder_fit", "w2p_divergence_scan", "rhs_lipschitz_scaling", "ScanEntry",
 ]
 
 _SHELL_SEED = 20260823  # fixed: probes are deterministic by contract
@@ -37,14 +34,12 @@ class ScanEntry:
     p: float
     slope: float
     verdict: str
-    values: tuple = field(default=())
-    spacings: tuple = field(default=())
 
 
 def _callable_of(f):
     if isinstance(f, SolutionFamily):
-        return lambda pts: eval_value(f, pts), 2 * f.dim
-    return f, None
+        return lambda pts: eval_value(f, pts)
+    return f
 
 
 def holder_fit(f, center, radii, samples_per_shell: int = 2000) -> dict:
@@ -57,7 +52,7 @@ def holder_fit(f, center, radii, samples_per_shell: int = 2000) -> dict:
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
     if radii.size < 6 or radii[0] / radii[-1] < 100.0:
         raise ValueError("need >= 6 radii spanning at least two decades")
-    func, _ = _callable_of(f)
+    func = _callable_of(f)
     center = np.asarray(center, dtype=float).ravel()
     rng = np.random.default_rng(_SHELL_SEED)
     dirs = rng.normal(size=(samples_per_shell, center.size))
@@ -174,14 +169,11 @@ def w2p_divergence_scan(f: SolutionFamily, p_list, refinements: int = 3,
         counts.append(int(round((counts[-1] - 1) * growth)) + 1)
     masses = np.array([_refinement_masses(f, cnt, p_list, use_laplacian, half_width)
                        for cnt in counts]).T
-    spacings = [2.0 * half_width / (cnt - 3) for cnt in counts]
+    log_h = np.log(np.array([2.0 * half_width / (cnt - 3) for cnt in counts]))
     entries = []
-    log_h = np.log(np.array(spacings))
     for p, row in zip(p_list, masses):
         slope = float(np.polyfit(log_h, np.log(row), 1)[0])
-        vals = tuple(float(m) ** (1.0 / p) for m in row)
-        entries.append(ScanEntry(p=p, slope=slope, verdict=_verdict(slope),
-                                 values=vals, spacings=tuple(spacings)))
+        entries.append(ScanEntry(p=p, slope=slope, verdict=_verdict(slope)))
     return entries
 
 
@@ -217,40 +209,3 @@ def rhs_lipschitz_scaling(eps_list, z_max: float = 1.0, w_max: float = 1.0,
         g = _grad_norm_rhs_pogorelov2(zsq[:, None], t[None, :], eps)
         out.append((eps, float(np.max(g))))
     return out
-
-
-def convergence_study(f: SolutionFamily, eps_list, p: float,
-                      domain: GridDomain = None) -> list:
-    """eps -> 0 convergence table on a fixed compact grid.
-
-    Columns: sup|u_eps - u0|, ||F(., eps) - limit||_{L^p}, and the sup of
-    |F(., eps) - limit| restricted to the singular slice w = 0 (which
-    does not go to zero; the measured value is recorded verbatim).
-    """
-    if f.kind not in ("pogorelov2", "pogorelov_n"):
-        raise ValueError("convergence study applies to the pogorelov families")
-    m = f.dim
-    if domain is None:
-        pts = [9] * (2 * m)
-        pts[-2] = pts[-1] = 33
-        domain = GridDomain(np.zeros(2 * m), np.ones(2 * m), tuple(pts))
-    coords = domain.node_coords_flat()
-    limit_family = SolutionFamily(f.kind, f.dim, 0.0)
-    u0 = eval_value(limit_family, coords)
-    limit_const = 1.0 if f.kind == "pogorelov2" else 1.0 / (m * m)
-    slice_mask = (np.abs(coords[:, -2]) < 1e-14) & (np.abs(coords[:, -1]) < 1e-14)
-    cell = float(np.prod(domain.spacings))
-    entries = []
-    for eps in eps_list:
-        fam = SolutionFamily(f.kind, f.dim, float(eps))
-        ue = eval_value(fam, coords)
-        Fe = eval_rhs(fam, coords)
-        gap = np.abs(Fe - limit_const)
-        lp_gap = float((np.sum(gap**p) * cell) ** (1.0 / p))
-        entries.append({
-            "eps": float(eps),
-            "sup_u_gap": float(np.max(np.abs(ue - u0))),
-            "lp_F_gap": lp_gap,
-            "sup_F_gap_slice": float(np.max(gap[slice_mask])) if np.any(slice_mask) else None,
-        })
-    return entries

@@ -87,6 +87,11 @@ def _check_base(u: SolutionFamily, p0: np.ndarray) -> None:
             "smooth and the classical check applies")
 
 
+def _check_radius(radius: float) -> None:
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius!r}")
+
+
 def _ball_points(p0: np.ndarray, radius: float, samples: int, rng) -> np.ndarray:
     dim = p0.size
     x = rng.normal(size=(samples, dim))
@@ -102,6 +107,7 @@ def check_touch_below(u: SolutionFamily, q: QuadraticJet, radius: float,
     u = _limit_family(u)
     p0 = as_point(q.base)
     _check_base(u, p0)
+    _check_radius(radius)
     if abs(q(p0) - eval_value(u, p0)) > 1e-12:
         raise ValueError("jet must match the function value at the base point")
     rng = np.random.default_rng(seed)
@@ -137,6 +143,7 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
     u = _limit_family(u)
     p0 = as_point(p0)
     _check_base(u, p0)
+    _check_radius(radius)
     if attempts < 0:
         raise ValueError("attempts must be nonnegative")
     rng = np.random.default_rng(seed)

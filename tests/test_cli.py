@@ -291,3 +291,35 @@ def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
     assert main(["solve", "--out", out, "--eps", eps, "--points", "5"]) == 2
     assert "eps must be finite" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "failure.json"))
+
+
+@pytest.mark.parametrize("argv, message, output", [
+    pytest.param(["hessian", "--point", "1,0,1,0", "--h", "nan"],
+                 "half widths must be finite", "hessian.json", id="hessian-h-nan"),
+    pytest.param(["hessian", "--point", "1,0,1,0", "--h", "inf"],
+                 "half widths must be finite", "hessian.json", id="hessian-h-inf"),
+    pytest.param(["hessian", "--point", "1,nan,1,0"],
+                 "center must be finite", "hessian.json", id="hessian-point-nan"),
+    pytest.param(["solve", "--eps", "1", "--points", "5", "--half-width", "nan"],
+                 "half widths must be finite", "report.json", id="solve-half-width-nan"),
+    pytest.param(["solve", "--eps", "1", "--points", "5", "--half-width", "inf"],
+                 "half widths must be finite", "report.json", id="solve-half-width-inf"),
+    pytest.param(["viscosity", "--attempts", "5", "--radius", "nan"],
+                 "radius must be finite and positive", "viscosity.json", id="viscosity-radius-nan"),
+    pytest.param(["viscosity", "--attempts", "5", "--radius", "0"],
+                 "radius must be finite and positive", "viscosity.json", id="viscosity-radius-0"),
+    pytest.param(["viscosity", "--attempts", "5", "--radius", "-0.1"],
+                 "radius must be finite and positive", "viscosity.json",
+                 id="viscosity-radius-negative"),
+    pytest.param(["verify", "--points", "10", "--min-w", "2"],
+                 "min_w must lie in [0, 1)", "verify.json", id="verify-min-w-2"),
+    pytest.param(["verify", "--points", "10", "--min-w", "nan"],
+                 "min_w must lie in [0, 1)", "verify.json", id="verify-min-w-nan"),
+])
+def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
+    # a config error: exit 2, and neither the command's output nor a failure report
+    out = str(tmp_path)
+    assert main(argv + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    for name in (output, "failure.json"):
+        assert not os.path.exists(os.path.join(out, name))

@@ -5,9 +5,8 @@ from cmalab import grid
 from cmalab.errors import BoundaryNode, GridTooLarge, NonFiniteSample
 from cmalab.families import SolutionFamily, eval_analytic_hessian, eval_value
 from cmalab.grid import (GridDomain, GridField, _second_diff, complex_hessian_fd,
-                         complex_laplacian_fd, field_from_csv, field_to_csv,
-                         lp_norm, real_hessian_fd, sample,
-                         second_derivative_magnitude, w2p_seminorm,
+                         complex_laplacian_fd, field_to_csv, real_hessian_fd,
+                         sample, second_derivative_magnitude,
                          wirtinger_from_real_hessian)
 
 
@@ -25,6 +24,16 @@ def test_spacings_and_coords():
 def test_grid_too_large():
     with pytest.raises(GridTooLarge):
         box(200)  # 200^4 = 1.6e9 nodes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_domain_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="center"):
+        GridDomain([0.0, bad, 0.0, 0.0], 1.0, 5)
+    with pytest.raises(ValueError, match="half widths"):
+        GridDomain(np.zeros(4), [1.0, 1.0, bad, 1.0], 5)
+    with pytest.raises(ValueError, match="excluded_tube_radius"):
+        GridDomain(np.zeros(4), 1.0, 5, excluded_tube_radius=bad)
 
 
 def test_excluded_tube():
@@ -139,6 +148,10 @@ def test_real_hessian_on_quadratic():
     u = GridField(dom, 0.5 * np.einsum("ma,ab,mb->m", coords, A, coords).reshape(dom.shape))
     H = real_hessian_fd(u, (4, 4, 4, 4))
     assert np.max(np.abs(H - A)) < 1e-10
+    # x1^2: the only second derivative is u_{x1 x1} = 2 at every interior node
+    mag = second_derivative_magnitude(GridField(dom, (coords[:, 0] ** 2).reshape(dom.shape)))
+    core = (slice(1, -1),) * 4
+    assert np.max(np.abs(mag.values[core] - 2.0)) < 1e-10
 
 
 def test_real_hessian_boundary_node():
@@ -223,29 +236,14 @@ def test_stencils_agree_with_pointwise_hessian():
         assert lap.values[node] == pytest.approx(0.25 * np.trace(H), rel=1e-13, abs=1e-12)
 
 
-def test_lp_norm_constant():
-    dom = box(9)
-    u = GridField(dom, np.full(dom.shape, 3.0))
-    # cell-sum quadrature of a constant, then the 1/p root
-    assert lp_norm(u, 2.0) == pytest.approx((3.0 ** 2 * 9 ** 4 * np.prod(dom.spacings)) ** 0.5)
-
-
-def test_w2p_seminorm_smooth():
-    dom = box(9)
-    coords = dom.node_coords_flat()
-    u = GridField(dom, (coords[:, 0] ** 2).reshape(dom.shape))
-    s = w2p_seminorm(u, 2.0)
-    assert s > 0
-    mag = second_derivative_magnitude(u)
-    core = (slice(1, -1),) * 4
-    assert np.max(np.abs(mag.values[core] - 2.0)) < 1e-10
-
-
 def test_csv_roundtrip_identical():
-    dom = box(5)
-    rng = np.random.default_rng(0)
-    u = GridField(dom, rng.normal(size=dom.shape))
-    text = field_to_csv(u)
-    back = field_from_csv(text)
-    assert np.array_equal(back.values, u.values)
-    assert field_to_csv(back) == text
+    # the header rows of solution.csv, then one .17g value per node, which
+    # reads back to the same double
+    dom = box(5, hw=0.5, excluded_tube_radius=0.1)
+    u = GridField(dom, np.random.default_rng(0).normal(size=dom.shape))
+    rows = field_to_csv(u).splitlines()
+    assert rows[:6] == ["points_per_axis,5,5,5,5", "spacings,0.25,0.25,0.25,0.25",
+                        "center,0,0,0,0", "half_widths,0.5,0.5,0.5,0.5",
+                        "excluded_tube_radius,0.10000000000000001", "value"]
+    assert rows[6:] == [format(v, ".17g") for v in u.values.ravel()]
+    assert [float(r) for r in rows[6:]] == u.values.ravel().tolist()

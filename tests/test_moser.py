@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmalab.errors import IdentityViolated
-from cmalab.moser import (MoserParams, ThirdOrderSample, a_coefficient,
-                          b_convergence_k, b_limit, b_product, b_term,
-                          chain_weight, critical_exponent, log_a_partial_sums,
-                          p_sequence, random_third_order_samples,
-                          third_order_check_batch, third_order_subsum_check)
+from cmalab.moser import (MoserParams, a_coefficient, b_limit, b_product, b_term,
+                          critical_exponent, log_a_partial_sums, p_sequence,
+                          random_third_order_samples, third_order_check_batch)
 
 
 def test_p_sequence_examples():
@@ -57,7 +53,6 @@ def test_b_terms_and_products():
     assert prods[-1] <= b_limit(params) + 1e-12
     assert abs(b_product(params, 60) - 2.0) < 1e-6
     assert abs(b_product(MoserParams(3, 3.0), 60) - 2.0) < 1e-6
-    assert b_convergence_k(params) <= 60
 
 
 def test_a_coefficient_example():
@@ -73,42 +68,24 @@ def test_log_a_sums_cauchy():
         assert abs(sums[-1] - sums[-10]) < 1e-9
 
 
-def test_chain_weight_bounded():
-    params = MoserParams(2, 1.0)
-    for k in (1, 5, 20):
-        log_bound = b_limit(params) * sum(
-            abs(math.log(a_coefficient(params, i))) for i in range(1, k + 1))
-        assert math.log(chain_weight(params, k)) <= log_bound + 1e-12
-
-
 def test_k_cap_overflow():
     with pytest.raises(OverflowError):
         p_sequence(MoserParams(2, 1.0), 201)
 
 
 def test_subsum_examples():
-    T = np.zeros((2, 2, 2), dtype=complex)
-    T[0, 1, 1] = 1.0  # symmetrized image T[1,1,0] filled by construction
-    s = ThirdOrderSample(np.ones(2), T)
-    out = third_order_subsum_check(s)
-    assert out["holds"] and out["lhs"] <= out["rhs"]
-    assert out["lhs"] > 0
-    z = third_order_subsum_check(ThirdOrderSample(np.ones(2), np.zeros((2, 2, 2))))
-    assert z["lhs"] == 0.0 and z["rhs"] == 0.0 and z["holds"]
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        ThirdOrderSample(np.array([1.0, -1.0]), np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        ThirdOrderSample(np.ones(2), np.zeros((2, 2, 3)))
+    T = np.zeros((1, 2, 2, 2), dtype=complex)
+    T[0, 0, 1, 1] = T[0, 1, 1, 0] = 0.5  # T[0, 1, 1] = 1 symmetrized in (a, k)
+    out = third_order_check_batch(np.ones((1, 2)), T)
+    assert out["holds"][0] and out["lhs"][0] <= out["rhs"][0]
+    assert out["lhs"][0] > 0
+    z = third_order_check_batch(np.ones((1, 2)), np.zeros((1, 2, 2, 2)))
+    assert z["lhs"][0] == 0.0 and z["rhs"][0] == 0.0 and z["holds"][0]
 
 
 def test_symmetry_enforced():
-    rng = np.random.default_rng(0)
-    T = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
-    s = ThirdOrderSample(np.ones(3), T)
-    assert np.allclose(s.T, s.T.transpose(2, 1, 0))
+    _, T = random_third_order_samples(3, 10, np.random.default_rng(0))
+    assert np.array_equal(T, T.transpose(0, 3, 2, 1))
 
 
 def test_random_batches_hold():

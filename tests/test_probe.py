@@ -6,8 +6,7 @@ import pytest
 from cmalab import probe
 from cmalab.families import SolutionFamily
 from cmalab.grid import complex_laplacian_fd, sample, second_derivative_magnitude
-from cmalab.probe import (convergence_study, holder_fit,
-                          rhs_lipschitz_scaling, w2p_divergence_scan)
+from cmalab.probe import holder_fit, rhs_lipschitz_scaling, w2p_divergence_scan
 
 
 def test_holder_fit_pure_power():
@@ -107,22 +106,3 @@ def test_lipschitz_validation():
         rhs_lipschitz_scaling([0.25, 0.5])
     with pytest.raises(ValueError):
         rhs_lipschitz_scaling([0.25, 0.0])
-
-
-def test_convergence_study_modes():
-    fam = SolutionFamily("pogorelov2", 2, 1.0)
-    entries = convergence_study(fam, [1.0, 0.25, 1 / 16], p=2.0)
-    sup_u = [e["sup_u_gap"] for e in entries]
-    lp_F = [e["lp_F_gap"] for e in entries]
-    slice_F = [e["sup_F_gap_slice"] for e in entries]
-    # sup|u_eps - u0| halves per eps quartering (sqrt scaling)
-    assert sup_u[0] / sup_u[1] == pytest.approx(2.0, rel=1e-6)
-    assert all(a > b for a, b in zip(lp_F, lp_F[1:]))
-    # the gap on the singular slice does not vanish
-    assert all(s == pytest.approx(slice_F[0]) for s in slice_F)
-    assert slice_F[0] > 1.0
-
-
-def test_convergence_study_rejects_blocki():
-    with pytest.raises(ValueError):
-        convergence_study(SolutionFamily("blocki", 3), [1.0], p=2.0)

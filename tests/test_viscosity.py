@@ -217,3 +217,13 @@ def test_search_touch_above_rejects_negative_attempts():
     with pytest.raises(ValueError):
         search_touch_above(SolutionFamily("pogorelov2", 2, 0.0), np.zeros(4),
                            radius=0.1, attempts=-1)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.1])
+def test_radius_must_be_finite_and_positive(radius):
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    with pytest.raises(ValueError, match="radius"):
+        search_touch_above(u0, np.zeros(4), radius=radius, attempts=5)
+    q = QuadraticJet(np.zeros(4), eval_value(u0, np.zeros(4)), np.zeros(4), np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="radius"):
+        check_touch_below(u0, q, radius=radius)
