@@ -148,7 +148,14 @@ def test_real_hessian_on_quadratic():
     u = GridField(dom, 0.5 * np.einsum("ma,ab,mb->m", coords, A, coords).reshape(dom.shape))
     H = real_hessian_fd(u, (4, 4, 4, 4))
     assert np.max(np.abs(H - A)) < 1e-10
-    # x1^2: the only second derivative is u_{x1 x1} = 2 at every interior node
+
+
+def test_w2p_seminorm_smooth():
+    # second_derivative_magnitude is the pointwise W^{2,p} integrand read by
+    # probe.w2p_divergence_scan. On x1^2 the only second derivative is
+    # u_{x1 x1} = 2 at every interior node.
+    dom = box(9)
+    coords = dom.node_coords_flat()
     mag = second_derivative_magnitude(GridField(dom, (coords[:, 0] ** 2).reshape(dom.shape)))
     core = (slice(1, -1),) * 4
     assert np.max(np.abs(mag.values[core] - 2.0)) < 1e-10
