@@ -104,7 +104,8 @@ def main():
         """hessian_interior, then the field-wise guard and factorization."""
         fields = [np.empty(inner) for _ in range(9)]
         _impl.hessian_interior(u6, h6, fields)
-        assert np.all(_margin_ok(fields, 3, 1e-12))
+        if not np.all(_margin_ok(fields, 3, 1e-12)):
+            raise RuntimeError("the 9^6 test field fails the positivity guard")
         L, d = _ldlh(fields, 3)
         return list(_inverse_coef(L, d)) if inverse else [d[0] * d[1] * d[2]]
 
@@ -112,7 +113,8 @@ def main():
         out = [np.empty(inner) for _ in range(9 if inverse else 1)]
         bad = (impl.inverse_interior(u6, h6, 1e-12, out) if inverse
                else impl.det_interior(u6, h6, 1e-12, out[0]))
-        assert bad == -1
+        if bad != -1:
+            raise RuntimeError(f"{impl.IMPL} kernel rejected node {bad} of the 9^6 test field")
         return out
 
     times, gap = {}, 0.0

@@ -154,6 +154,8 @@ def _cmd_verify(settings: _Settings, out_dir: str, seed: int) -> int:
     if not 0 <= min_w < 1:
         raise ConfigError(f"min_w must lie in [0, 1), got {min_w!r}")
     tol = settings.number("tol", float, 1e-10)
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
     rng = np.random.default_rng(seed)
     pts = _random_points(fam, count, min_w, rng)
     gaps = [verify_identity(fam, p)["abs_gap"] for p in pts]
@@ -287,7 +289,12 @@ def _cmd_moser(settings: _Settings, out_dir: str, seed: int) -> int:
         R=settings.number("R", float, 1.0), r=settings.number("r", float, 0.5))
     C = settings.number("C", float, 1.0)
     k_max = settings.number("kmax", int, 60)
-    sums = moser.log_a_partial_sums(params, k_max, C)
+    if k_max > moser.K_CAP:
+        raise ConfigError(f"kmax must be at most {moser.K_CAP}, got {k_max}")
+    try:   # builds every p_k the rows below read
+        sums = moser.log_a_partial_sums(params, k_max, C)
+    except OverflowError as exc:   # some p_k beyond double precision
+        raise ConfigError(f"moser parameters out of range: {exc}") from None
     rows = []
     for k in range(1, k_max + 1):
         rows.append((k, f"{moser.p_sequence(params, k):.17g}",

@@ -59,11 +59,7 @@ class GridDomain:
     def __post_init__(self):
         center = as_point(self.center)
         hw = np.asarray(self.half_widths, dtype=float).ravel()
-        if hw.size == 1:
-            hw = np.full(center.size, hw[0])
         pts = tuple(int(p) for p in np.atleast_1d(self.points_per_axis))
-        if len(pts) == 1:
-            pts = pts * center.size
         if hw.size != center.size or len(pts) != center.size:
             raise ValueError("center, half_widths and points_per_axis must agree")
         if not np.all(np.isfinite(center)):
@@ -133,22 +129,17 @@ class GridDomain:
 
 @dataclass(frozen=True)
 class GridField:
-    """Real samples over a GridDomain; `valid` flags usable nodes (None = all)."""
+    """Finite real samples over a GridDomain, one per node."""
 
     domain: GridDomain
     values: np.ndarray = field(repr=False)
-    valid: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(self.domain.shape)
         object.__setattr__(self, "values", v)
-        if self.valid is not None:
-            object.__setattr__(self, "valid", np.asarray(self.valid, dtype=bool).reshape(self.domain.shape))
-        bad = ~np.isfinite(v)
-        if self.valid is not None:
-            bad &= self.valid
-        if np.any(bad):
-            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        finite = np.isfinite(v)
+        if not finite.all():
+            idx = tuple(int(i) for i in np.unravel_index(np.argmin(finite), v.shape))
             raise NonFiniteSample(idx, float(v[idx]))
 
 
@@ -192,44 +183,23 @@ class _Slabs:
 
 
 def sample(domain: GridDomain, f) -> GridField:
-    """Evaluate f on every node.  f may accept an (M, 2n) coordinate array
-    (vectorized fast path) or a single point.  Non-finite values are only
-    tolerated inside the excluded tube, where nodes are flagged invalid.
+    """Evaluate f on every node.  f takes an (M, 2n) coordinate array and
+    returns M values; a result of another shape raises ValueError, and a
+    non-finite value raises NonFiniteSample at its first node.
 
     f sees one slab of about _SLAB_NODES nodes at a time, in row-major
-    order, so f must be row-wise; if a slab's vectorized call fails or
-    returns the wrong shape, that slab and every later one are evaluated
-    point by point.
+    order, so f must be row-wise.
     """
     slabs = _Slabs(domain)
     vals = np.empty(domain.num_nodes)
     buf = np.empty((min(slabs.rows_per_slab, slabs.rows) * slabs.block, domain.center.size))
-    vectorized = True
     for start in range(0, slabs.rows, slabs.rows_per_slab):
         stop = min(start + slabs.rows_per_slab, slabs.rows)
         lo, hi = start * slabs.block, stop * slabs.block
-        coords = slabs.write(start, stop, buf[:hi - lo])
-        if vectorized:
-            try:
-                part = np.asarray(f(coords), dtype=float)
-                if part.shape != (hi - lo,):
-                    raise TypeError
-                vals[lo:hi] = part
-                continue
-            except (TypeError, ValueError, IndexError):
-                vectorized = False
-        vals[lo:hi] = [float(f(coords[i])) for i in range(hi - lo)]
-    vals = vals.reshape(domain.shape)
-    finite = np.isfinite(vals)
-    if not np.all(finite):
-        excluded = domain.excluded_mask()
-        offending = ~finite & ~excluded
-        if np.any(offending):
-            idx = tuple(int(i) for i in np.argwhere(offending)[0])
-            raise NonFiniteSample(idx, float(vals[idx]))
-        valid = finite.copy()
-        vals = np.where(finite, vals, 0.0)
-        return GridField(domain, vals, valid)
+        part = np.asarray(f(slabs.write(start, stop, buf[:hi - lo])), dtype=float)
+        if part.shape != (hi - lo,):
+            raise ValueError(f"f returned shape {part.shape} for {hi - lo} points")
+        vals[lo:hi] = part
     return GridField(domain, vals)
 
 
@@ -292,10 +262,8 @@ def complex_hessian_fd(u: GridField, at) -> HermitianForm:
 
 
 def complex_laplacian_fd(u: GridField) -> GridField:
-    """Complex Laplacian sum_k u_{k kbar} = 1/4 of the real 2n-dim FD Laplacian.
-
-    Boundary-ring values are not available and are flagged invalid.
-    """
+    """Complex Laplacian sum_k u_{k kbar} = 1/4 of the real 2n-dim FD Laplacian,
+    on interior nodes; the boundary ring holds 0."""
     shape = u.domain.shape
     h = u.domain.spacings
     core = tuple(slice(1, -1) for _ in shape)
@@ -304,17 +272,13 @@ def complex_laplacian_fd(u: GridField) -> GridField:
         acc += _second_diff(u.values, a, h[a])
     out = np.zeros(shape)
     out[core] = 0.25 * acc
-    valid = np.zeros(shape, dtype=bool)
-    valid[core] = True
-    if u.valid is not None:
-        valid &= u.valid
-        out[~u.valid] = 0.0
-    return GridField(u.domain, out, valid)
+    return GridField(u.domain, out)
 
 
 def second_derivative_magnitude(u: GridField) -> GridField:
     """Pointwise Frobenius magnitude of the full real FD second-derivative
-    matrix, on interior nodes (off-diagonal pairs counted twice)."""
+    matrix, on interior nodes (off-diagonal pairs counted twice); the
+    boundary ring holds 0."""
     shape = u.domain.shape
     h = u.domain.spacings
     m = len(shape)
@@ -328,11 +292,7 @@ def second_derivative_magnitude(u: GridField) -> GridField:
             acc += 2.0 * d2 * d2
     out = np.zeros(shape)
     out[core] = np.sqrt(acc)
-    valid = np.zeros(shape, dtype=bool)
-    valid[core] = True
-    if u.valid is not None:
-        valid &= u.valid
-    return GridField(u.domain, out, valid)
+    return GridField(u.domain, out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 K_CAP = 200
+_D_RANGE = (1e-3, 1e3)   # eigenvalues d of `random_third_order_samples`
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class MoserParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("complex dimension n must be >= 2")
-        if self.a <= 0:
-            raise ValueError("exponent offset a must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"exponent offset a must be finite and positive, got {self.a!r}")
         if not (0.0 < self.r < self.R <= 1.0):
             raise ValueError("radii must satisfy 0 < r < R <= 1")
 
@@ -95,8 +96,8 @@ def b_limit(params: MoserParams) -> float:
 def a_coefficient(params: MoserParams, k: int, C: float = 1.0) -> float:
     """a_k = (C 2^k p_k^{3/2} / (R - r))^{1/p_k}."""
     _check_k(k, minimum=1)
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError(f"C must be finite and positive, got {C!r}")
     pk = p_sequence(params, k)
     log_ak = (math.log(C) + k * math.log(2.0) + 1.5 * math.log(pk)
               - math.log(params.R - params.r)) / pk
@@ -113,11 +114,10 @@ def log_a_partial_sums(params: MoserParams, k_max: int, C: float = 1.0) -> np.nd
 # ---------------------------------------------------------------------------
 # third-order sub-sum inequality
 
-def random_third_order_samples(n: int, count: int, rng: np.random.Generator,
-                               d_range=(1e-3, 1e3)):
+def random_third_order_samples(n: int, count: int, rng: np.random.Generator):
     """Batch of (d, T) draws: complex-Gaussian T symmetrized in (a, k),
-    d log-uniform over d_range.  Returned as stacked arrays."""
-    lo, hi = np.log(d_range[0]), np.log(d_range[1])
+    d log-uniform over _D_RANGE.  Returned as stacked arrays."""
+    lo, hi = np.log(_D_RANGE[0]), np.log(_D_RANGE[1])
     d = np.exp(rng.uniform(lo, hi, size=(count, n)))
     T = rng.normal(size=(count, n, n, n)) + 1j * rng.normal(size=(count, n, n, n))
     T = 0.5 * (T + T.transpose(0, 3, 2, 1))

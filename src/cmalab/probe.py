@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 _SHELL_SEED = 20260823  # fixed: probes are deterministic by contract
+_SHELL_SAMPLES = 2000   # directions per shell of `holder_fit`
+_SCAN_HALF_WIDTH = 1.0  # W^{2,p} scan boxes cover [-1, 1] on every axis
+_SCAN_REGULAR_POINTS = 5  # nodes on each axis off the singular set
+_LIP_Z_POINTS = 41      # |z| radii of the `rhs_lipschitz_scaling` grid
+_LIP_W_POINTS = 4000    # log-spaced |w| radii in [1e-8, 1], after |w| = 0
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,7 @@ def _callable_of(f):
     return f
 
 
-def holder_fit(f, center, radii, samples_per_shell: int = 2000) -> dict:
+def holder_fit(f, center, radii) -> dict:
     """Least-squares slope of log osc(f, B_rho) against log rho.
 
     f is a SolutionFamily (its value is used) or a plain callable on
@@ -55,7 +60,7 @@ def holder_fit(f, center, radii, samples_per_shell: int = 2000) -> dict:
     func = _callable_of(f)
     center = np.asarray(center, dtype=float).ravel()
     rng = np.random.default_rng(_SHELL_SEED)
-    dirs = rng.normal(size=(samples_per_shell, center.size))
+    dirs = rng.normal(size=(_SHELL_SAMPLES, center.size))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     center_val = float(func(center[None, :])[0])
     # cumulative max/min inward: osc over B_rho uses every shell with radius <= rho
@@ -76,13 +81,12 @@ def holder_fit(f, center, radii, samples_per_shell: int = 2000) -> dict:
     return {"alpha": float(slope), "stderr": float(np.sqrt(cov[0, 0]))}
 
 
-def _scan_domain(f: SolutionFamily, points_singular: int, points_regular: int = 5,
-                 half_width: float = 1.0) -> GridDomain:
+def _scan_domain(f: SolutionFamily, points_singular: int) -> GridDomain:
     """Box meeting the singular set, fine only along the singular axes.
 
-    The singular axes get one pad cell beyond +-half_width so that after
-    the finite-difference stencil drops the boundary ring the usable
-    nodes span exactly [-half_width, half_width] at every resolution;
+    The singular axes get one pad cell beyond the half width so that after
+    the finite-difference stencil drops the boundary ring the usable nodes
+    span exactly [-_SCAN_HALF_WIDTH, _SCAN_HALF_WIDTH] at every resolution;
     otherwise the integration region itself would shrink with h and the
     refinement slopes would pick up a spurious drift.
     """
@@ -93,26 +97,23 @@ def _scan_domain(f: SolutionFamily, points_singular: int, points_regular: int = 
         singular_axes = tuple(range(2, 2 * m))
     else:
         singular_axes = (2 * m - 2, 2 * m - 1)
-    pts = [points_regular] * (2 * m)
-    hw = np.full(2 * m, half_width)
-    h = 2.0 * half_width / (points_singular - 3)
+    pts = [_SCAN_REGULAR_POINTS] * (2 * m)
+    hw = np.full(2 * m, _SCAN_HALF_WIDTH)
+    h = 2.0 * _SCAN_HALF_WIDTH / (points_singular - 3)
     for a in singular_axes:
         pts[a] = points_singular
-        hw[a] = half_width + h
+        hw[a] = _SCAN_HALF_WIDTH + h
     return GridDomain(np.zeros(2 * m), hw, tuple(pts),
                       excluded_tube_radius=2.0 * h, singular_axes=singular_axes)
 
 
 def _mass_terms(field):
-    """|field| and the trapezoid weights of its integral, both zero off the
-    valid, non-excluded nodes, so that sum(|field|^p * weights) is the
-    integral of |field|^p for every p > 0.  Boundary-ring nodes carry zero
-    weight and the next ring gets half weight, so the quadrature covers a
-    fixed box independent of h."""
+    """|field| and the trapezoid weights of its integral, both zero on the
+    boundary ring and in the excluded tube, so that sum(|field|^p * weights)
+    is the integral of |field|^p for every p > 0.  The ring next to the
+    boundary gets half weight, so the quadrature covers a fixed box
+    independent of h."""
     dom = field.domain
-    keep = ~dom.excluded_mask()
-    if field.valid is not None:
-        keep = keep & field.valid
     w = 1.0   # grows by broadcasting to the full grid at the last axis
     for a, (cnt, h) in enumerate(zip(dom.shape, dom.spacings)):
         wa = np.full(cnt, h)
@@ -121,17 +122,17 @@ def _mass_terms(field):
         shape = [1] * len(dom.shape)
         shape[a] = cnt
         w = w * wa.reshape(shape)
-    drop = ~keep
-    w[drop] = 0.0
+    w[dom.excluded_mask()] = 0.0
+    # the weight is positive everywhere else, so |field| is kept exactly there
     magnitude = np.abs(field.values)
-    magnitude[drop] = 0.0
+    magnitude[w == 0.0] = 0.0
     return magnitude, w
 
 
 def _refinement_masses(f: SolutionFamily, points_singular: int, p_list,
-                       use_laplacian: bool, half_width: float) -> list:
+                       use_laplacian: bool) -> list:
     """The integral of |observable|^p on one scan grid, for each p."""
-    dom = _scan_domain(f, points_singular, half_width=half_width)
+    dom = _scan_domain(f, points_singular)
     observable = complex_laplacian_fd if use_laplacian else second_derivative_magnitude
     magnitude, weights = _mass_terms(observable(sample(dom, lambda pts: eval_value(f, pts))))
     masses = []
@@ -152,7 +153,7 @@ def _verdict(slope: float) -> str:
 
 def w2p_divergence_scan(f: SolutionFamily, p_list, refinements: int = 3,
                         base_points: int = 17, use_laplacian: bool = False,
-                        half_width: float = 1.0, growth: float = math.sqrt(2.0)) -> list:
+                        growth: float = math.sqrt(2.0)) -> list:
     """Refinement slopes of the W^{2,p} mass for each p.
 
     Per refinement the singular-axis resolution grows by ~sqrt(2) steps
@@ -167,9 +168,9 @@ def w2p_divergence_scan(f: SolutionFamily, p_list, refinements: int = 3,
     counts = [base_points]
     for _ in range(refinements - 1):
         counts.append(int(round((counts[-1] - 1) * growth)) + 1)
-    masses = np.array([_refinement_masses(f, cnt, p_list, use_laplacian, half_width)
+    masses = np.array([_refinement_masses(f, cnt, p_list, use_laplacian)
                        for cnt in counts]).T
-    log_h = np.log(np.array([2.0 * half_width / (cnt - 3) for cnt in counts]))
+    log_h = np.log(np.array([2.0 * _SCAN_HALF_WIDTH / (cnt - 3) for cnt in counts]))
     entries = []
     for p, row in zip(p_list, masses):
         slope = float(np.polyfit(log_h, np.log(row), 1)[0])
@@ -191,20 +192,19 @@ def _grad_norm_rhs_pogorelov2(zsq, t, eps):
     return 2.0 * np.sqrt(fz2 + fw2)
 
 
-def rhs_lipschitz_scaling(eps_list, z_max: float = 1.0, w_max: float = 1.0,
-                          n_w: int = 4000, n_z: int = 41) -> list:
+def rhs_lipschitz_scaling(eps_list, z_max: float = 1.0) -> list:
     """Dense-grid sup of |grad F(., eps)| on the compact {|z| <= z_max,
-    |w| <= w_max}; the sup scales like eps^(-1/2)."""
+    |w| <= 1}; the sup scales like eps^(-1/2)."""
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    zsq = np.linspace(0.0, z_max, n_z) ** 2
+    zsq = np.linspace(0.0, z_max, _LIP_Z_POINTS) ** 2
     out = []
     for eps in eps_list:
         # the transition happens at |w| ~ sqrt(eps); log-space the radii
-        w = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-8), math.log(w_max), n_w))])
+        w = np.concatenate([[0.0], np.exp(np.linspace(math.log(1e-8), 0.0, _LIP_W_POINTS))])
         t = w * w
         g = _grad_norm_rhs_pogorelov2(zsq[:, None], t[None, :], eps)
         out.append((eps, float(np.max(g))))

@@ -25,6 +25,9 @@ __all__ = ["QuadraticJet", "g_operator", "complex_hessian_of_jet",
 
 TOUCH_MARGIN = 1e-10
 PSD_TOL = 1e-12
+_BALL_SAMPLES = 2000   # ball points each upper jet of `search_touch_above` must dominate
+_SCAN_ANGLES = 32      # directions in the w-plane of `_w_axis_scan`
+_SCAN_DEPTHS = 60      # log-spaced radii along each direction
 
 
 def g_operator(X: HermitianForm, tol: float = PSD_TOL):
@@ -119,12 +122,11 @@ def check_touch_below(u: SolutionFamily, q: QuadraticJet, radius: float,
     return {"touches": touches, "g_value": g_value, "verdict": verdict}
 
 
-def _w_axis_scan(u: SolutionFamily, p0: np.ndarray, radius: float,
-                 angles: int = 32, depths: int = 60) -> np.ndarray:
+def _w_axis_scan(u: SolutionFamily, p0: np.ndarray, radius: float) -> np.ndarray:
     """Points along the w-plane through p0, log-spaced radii down to ~1e-14."""
-    theta = np.linspace(0.0, 2.0 * math.pi, angles, endpoint=False)
-    rr = radius * np.exp(np.linspace(0.0, math.log(1e-14), depths))
-    pts = np.tile(p0, (angles * depths, 1))
+    theta = np.linspace(0.0, 2.0 * math.pi, _SCAN_ANGLES, endpoint=False)
+    rr = radius * np.exp(np.linspace(0.0, math.log(1e-14), _SCAN_DEPTHS))
+    pts = np.tile(p0, (_SCAN_ANGLES * _SCAN_DEPTHS, 1))
     rmat, tmat = np.meshgrid(rr, theta)
     pts[:, -2] = (rmat * np.cos(tmat)).ravel()
     pts[:, -1] = (rmat * np.sin(tmat)).ravel()
@@ -132,8 +134,7 @@ def _w_axis_scan(u: SolutionFamily, p0: np.ndarray, radius: float,
 
 
 def search_touch_above(u: SolutionFamily, p0, radius: float,
-                       attempts: int = 1000, seed: int = 0,
-                       samples: int = 2000) -> dict:
+                       attempts: int = 1000, seed: int = 0) -> dict:
     """Try random upper jets; each must lose to the cone along the w-plane.
 
     Returns found = True only if some attempted jet both dominates u0 on
@@ -151,7 +152,7 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
     dim = p0.size
     scan = _w_axis_scan(u, p0, radius)
     scan_u = eval_value(u, scan)
-    ball = _ball_points(p0, radius, samples, rng)
+    ball = _ball_points(p0, radius, _BALL_SAMPLES, rng)
     ball_u = eval_value(u, ball)
     grads = np.empty((attempts, dim))
     hessians = np.empty((attempts, dim, dim))

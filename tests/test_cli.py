@@ -315,11 +315,32 @@ def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
                  "min_w must lie in [0, 1)", "verify.json", id="verify-min-w-2"),
     pytest.param(["verify", "--points", "10", "--min-w", "nan"],
                  "min_w must lie in [0, 1)", "verify.json", id="verify-min-w-nan"),
+    pytest.param(["verify", "--points", "10", "--tol", "nan"],
+                 "tol must be finite and positive", "verify.json", id="verify-tol-nan"),
+    pytest.param(["verify", "--points", "10", "--tol", "0"],
+                 "tol must be finite and positive", "verify.json", id="verify-tol-0"),
+    pytest.param(["verify", "--points", "10", "--tol", "-1"],
+                 "tol must be finite and positive", "verify.json", id="verify-tol-negative"),
+    pytest.param(["moser", "--a", "nan"],
+                 "a must be finite and positive", "moser.csv", id="moser-a-nan"),
+    pytest.param(["moser", "--a", "inf"],
+                 "a must be finite and positive", "moser.csv", id="moser-a-inf"),
+    pytest.param(["moser", "--C", "nan", "--kmax", "3"],
+                 "C must be finite and positive", "moser.csv", id="moser-C-nan"),
+    pytest.param(["moser", "--C", "inf", "--kmax", "3"],
+                 "C must be finite and positive", "moser.csv", id="moser-C-inf"),
+    pytest.param(["moser", "--kmax", "500"],
+                 "kmax must be at most 200", "moser.csv", id="moser-kmax-500"),
+    pytest.param(["moser", "--a", "1e308"],
+                 "p_1 overflows double precision", "moser.csv", id="moser-a-1e308"),
 ])
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
-    # a config error: exit 2, and neither the command's output nor a failure report
+    # a config error: exit 2, logged, and neither the command's output nor
+    # a failure report
     out = str(tmp_path)
     assert main(argv + ["--out", out]) == 2
     assert message in capsys.readouterr().err
     for name in (output, "failure.json"):
         assert not os.path.exists(os.path.join(out, name))
+    with open(os.path.join(out, "run.log")) as f:
+        assert f.read().splitlines()[-1].endswith(" exit=2")

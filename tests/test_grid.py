@@ -29,11 +29,19 @@ def test_grid_too_large():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_domain_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="center"):
-        GridDomain([0.0, bad, 0.0, 0.0], 1.0, 5)
+        GridDomain([0.0, bad, 0.0, 0.0], np.ones(4), (5,) * 4)
     with pytest.raises(ValueError, match="half widths"):
-        GridDomain(np.zeros(4), [1.0, 1.0, bad, 1.0], 5)
+        GridDomain(np.zeros(4), [1.0, 1.0, bad, 1.0], (5,) * 4)
     with pytest.raises(ValueError, match="excluded_tube_radius"):
-        GridDomain(np.zeros(4), 1.0, 5, excluded_tube_radius=bad)
+        GridDomain(np.zeros(4), np.ones(4), (5,) * 4, excluded_tube_radius=bad)
+
+
+def test_domain_needs_a_width_and_count_per_axis():
+    # a scalar half width or node count is not broadcast to every axis
+    with pytest.raises(ValueError, match="must agree"):
+        GridDomain(np.zeros(4), 1.0, (5,) * 4)
+    with pytest.raises(ValueError, match="must agree"):
+        GridDomain(np.zeros(4), np.ones(4), 5)
 
 
 def test_excluded_tube():
@@ -55,18 +63,14 @@ def test_sample_rejects_nonfinite_outside_tube():
     with pytest.raises(NonFiniteSample):
         sample(dom, f)
 
-
-def test_sample_tolerates_nonfinite_in_tube():
-    dom = box(9, excluded_tube_radius=0.3)
-
-    def f(pts):
+    # the excluded tube only leaves integrals: a nan inside it is refused too
+    def in_tube(pts):
         t = pts[..., -2] ** 2 + pts[..., -1] ** 2
-        with np.errstate(divide="ignore"):
-            return np.where(t > 0, 1.0, np.inf)
+        return np.where(t > 0, 1.0, np.nan)
 
-    u = sample(dom, f)
-    assert not np.all(u.valid)
-    assert np.all(u.valid | dom.excluded_mask())
+    with pytest.raises(NonFiniteSample) as err:
+        sample(box(9, excluded_tube_radius=0.3), in_tube)
+    assert err.value.node == (0, 0, 4, 4)
 
 
 def meshgrid_coords(dom):
@@ -98,10 +102,10 @@ def test_sample_slabs_equal_one_call(monkeypatch, slab_nodes):
         u = sample(dom, lambda pts: eval_value(fam, pts))
         ref = eval_value(fam, meshgrid_coords(dom)).reshape(dom.shape)
         assert np.array_equal(u.values, ref)
-        assert u.valid is None
 
 
 def test_sample_point_fallback(monkeypatch):
+    # there is none: f gets whole slabs, and whatever it does with one shows
     monkeypatch.setattr(grid, "_SLAB_NODES", 500)
     dom = box(7)
 
@@ -114,9 +118,10 @@ def test_sample_point_fallback(monkeypatch):
     def wrong_shape(p):
         return float(np.sum(np.asarray(p) ** 2))   # a scalar for a whole slab
 
-    ref = np.sum(meshgrid_coords(dom) ** 2, axis=1).reshape(dom.shape)
-    for f in (pointwise, wrong_shape):
-        assert np.array_equal(sample(dom, f).values, ref)
+    with pytest.raises(TypeError, match="one point at a time"):
+        sample(dom, pointwise)
+    with pytest.raises(ValueError, match=r"shape \(\) for 343 points"):
+        sample(dom, wrong_shape)
 
 
 def test_sample_nonfinite_first_node_and_tube(monkeypatch):
@@ -134,10 +139,6 @@ def test_sample_nonfinite_first_node_and_tube(monkeypatch):
     with pytest.raises(NonFiniteSample) as err:
         sample(dom, f)
     assert err.value.node == (1, 5, 7, 0)
-    bad = [(4, 4, 4, 4), (0, 8, 4, 4)]   # both inside the tube |w| < 0.3
-    u = sample(dom, f)
-    assert [tuple(i) for i in np.argwhere(~u.valid)] == sorted(bad)
-    assert u.values[4, 4, 4, 4] == 0.0 and u.values[0, 8, 4, 4] == 0.0
 
 
 def test_real_hessian_on_quadratic():
@@ -196,11 +197,13 @@ def test_complex_laplacian_of_squared_modulus():
     lap = complex_laplacian_fd(u)
     core = (slice(1, -1),) * 4
     assert np.max(np.abs(lap.values[core] - 2.0)) < 1e-11
-    assert not lap.valid[0, 4, 4, 4]
+    ring = np.ones(dom.shape, dtype=bool)
+    ring[core] = False
+    assert np.all(lap.values[ring] == 0.0)
 
 
 def _complex_laplacian_nan_fill(u):
-    # the former formula: nan fill, nan on invalid nodes, then np.where
+    # the former formula: nan fill, nan on the ring, then np.where
     shape = u.domain.shape
     out = np.full(shape, np.nan)
     core = (slice(1, -1),) * len(shape)
@@ -208,24 +211,15 @@ def _complex_laplacian_nan_fill(u):
     for a in range(len(shape)):
         acc += _second_diff(u.values, a, u.domain.spacings[a])
     out[core] = 0.25 * acc
-    valid = np.zeros(shape, dtype=bool)
-    valid[core] = True
-    if u.valid is not None:
-        valid &= u.valid
-    out[~valid] = np.nan
-    return np.where(valid, out, 0.0), valid
+    interior = np.zeros(shape, dtype=bool)
+    interior[core] = True
+    return np.where(interior, out, 0.0)
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_complex_laplacian_matches_nan_fill_formula(masked):
+def test_complex_laplacian_matches_nan_fill_formula():
     dom = box(7)
-    rng = np.random.default_rng(5)
-    valid = rng.random(dom.shape) > 0.3 if masked else None
-    u = GridField(dom, rng.normal(size=dom.shape), valid)
-    lap = complex_laplacian_fd(u)
-    ref, ref_valid = _complex_laplacian_nan_fill(u)
-    assert lap.values.tobytes() == ref.tobytes()
-    assert np.array_equal(lap.valid, ref_valid)
+    u = GridField(dom, np.random.default_rng(5).normal(size=dom.shape))
+    assert complex_laplacian_fd(u).values.tobytes() == _complex_laplacian_nan_fill(u).tobytes()
 
 
 def test_stencils_agree_with_pointwise_hessian():

@@ -1,6 +1,10 @@
+import ast
 import importlib
+import pathlib
 
 import cmalab
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_every_all_name_resolves():
@@ -10,3 +14,14 @@ def test_every_all_name_resolves():
     missing = [f"{mod.__name__}.{name}" for mod in modules
                for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_no_bare_assert_outside_tests():
+    # `python -O` strips assert statements, so a library or benchmark check
+    # written as one would silently stop checking
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for top in ("src/cmalab", "benchmarks")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
