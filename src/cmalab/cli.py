@@ -291,17 +291,15 @@ def _cmd_moser(settings: _Settings, out_dir: str, seed: int) -> int:
     k_max = settings.number("kmax", int, 60)
     if k_max > moser.K_CAP:
         raise ConfigError(f"kmax must be at most {moser.K_CAP}, got {k_max}")
-    try:   # builds every p_k the rows below read
+    try:
         sums = moser.log_a_partial_sums(params, k_max, C)
-    except OverflowError as exc:   # some p_k beyond double precision
+        rows = [(k, f"{moser.p_sequence(params, k):.17g}",
+                 f"{moser.b_term(params, k):.17g}",
+                 f"{moser.b_product(params, k):.17g}",
+                 f"{moser.a_coefficient(params, k, C):.17g}",
+                 f"{sums[k - 1]:.17g}") for k in range(1, k_max + 1)]
+    except OverflowError as exc:   # some p_k or 2 p_k beyond double precision
         raise ConfigError(f"moser parameters out of range: {exc}") from None
-    rows = []
-    for k in range(1, k_max + 1):
-        rows.append((k, f"{moser.p_sequence(params, k):.17g}",
-                     f"{moser.b_term(params, k):.17g}",
-                     f"{moser.b_product(params, k):.17g}",
-                     f"{moser.a_coefficient(params, k, C):.17g}",
-                     f"{sums[k - 1]:.17g}"))
     _write_csv(os.path.join(out_dir, "moser.csv"),
                ("k", "p_k", "b_k", "b_product", "a_k", "log_a_sum"), rows)
     return 0

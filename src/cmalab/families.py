@@ -12,7 +12,10 @@ w the last one; t = |w|^2):
 The pogorelov families carry analytic complex Hessians and closed-form
 determinants; all exponents of pogorelov_n use 1/m (the only convention
 under which Hessian, limit and determinant are mutually consistent).
-Every evaluator accepts a single point (2m reals) or an (..., 2m) array.
+Every evaluator accepts a single point (2m reals) or an (..., 2m) array;
+eval_value and eval_rhs also accept the open grid of `grid.sample`, a
+tuple of 2m arrays where array a varies along axis a only, and return
+a result that broadcasts to the grid's shape.
 """
 
 from __future__ import annotations
@@ -66,38 +69,58 @@ class SolutionFamily:
         return {"kind": self.kind, "dim": self.dim, "eps": self.eps}
 
 
-def _split(f: SolutionFamily, pts):
-    """Return (|z_i|^2 array stacked last-axis, t = |last coord|^2)."""
-    a = np.asarray(pts, dtype=float)
-    if a.shape[-1] != 2 * f.dim:
-        raise DimensionMismatch(
-            f"expected {2 * f.dim} real coordinates, got {a.shape[-1]}")
+def _is_open_grid(pts) -> bool:
+    """True for a tuple of k >= 2 arrays of ndim k, array a longer than 1
+    only on axis a."""
+    return (isinstance(pts, tuple) and len(pts) >= 2 and all(
+        isinstance(g, np.ndarray) and g.ndim == len(pts)
+        and all(s == 1 for b, s in enumerate(g.shape) if b != a)
+        for a, g in enumerate(pts)))
+
+
+def _squared_moduli(f: SolutionFamily, pts):
+    """The m squared moduli |z_i|^2 of pts, each spanning only the axes it
+    depends on (0-d arrays for a single point), and whether pts is one point."""
+    grid = _is_open_grid(pts)
+    a = None if grid else np.asarray(pts, dtype=float)
+    count = len(pts) if grid else a.shape[-1]
+    if count != 2 * f.dim:
+        raise DimensionMismatch(f"expected {2 * f.dim} real coordinates, got {count}")
+    if grid:
+        return [x * x + y * y for x, y in zip(pts[0::2], pts[1::2])], False
     x = a[..., 0::2]
     y = a[..., 1::2]
-    mod2 = x * x + y * y          # (..., m) squared moduli per complex coord
-    return a, mod2
+    mod2 = x * x + y * y
+    return [mod2[..., i] for i in range(f.dim)], a.ndim == 1
+
+
+def _sum(terms):
+    """Left-to-right sum, as np.sum adds a short last axis; like np.sum it
+    turns a single point's 0-d arrays into a numpy scalar."""
+    out = terms[0][()]
+    for t in terms[1:]:
+        out = out + t
+    return out
 
 
 def eval_value(f: SolutionFamily, pts):
-    """Closed-form value; accepts a point or an (..., 2m) array."""
-    a, mod2 = _split(f, pts)
-    scalar = a.ndim == 1
-    t = mod2[..., -1]
+    """Closed-form value; accepts a point, an (..., 2m) array or an open grid."""
+    mod2, single = _squared_moduli(f, pts)
+    t = mod2[-1]
     if f.kind == "pogorelov2":
-        out = 2.0 * (1.0 + mod2[..., 0]) * np.sqrt(t + f.eps)
+        out = 2.0 * (1.0 + mod2[0]) * np.sqrt(t + f.eps)
     elif f.kind == "pogorelov_n":
-        out = (1.0 + np.sum(mod2[..., :-1], axis=-1)) * (t + f.eps) ** (1.0 / f.dim)
+        out = (1.0 + _sum(mod2[:-1])) * (t + f.eps) ** (1.0 / f.dim)
     elif f.kind == "theorem_v":
         n = f.dim
-        out = n ** (2.0 / n) * (1.0 + np.sum(mod2[..., :-1], axis=-1)) * t ** (1.0 / n)
+        out = n ** (2.0 / n) * (1.0 + _sum(mod2[:-1])) * t ** (1.0 / n)
     elif f.kind == "degenerate":
         n = f.dim
-        out = n ** (2.0 / n) * np.sum(mod2[..., :-1], axis=-1) * t ** (1.0 / n)
+        out = n ** (2.0 / n) * _sum(mod2[:-1]) * t ** (1.0 / n)
     else:  # blocki
         n = f.dim
-        rho2 = np.sum(mod2[..., 1:], axis=-1)
-        out = (1.0 + mod2[..., 0]) * rho2 ** (1.0 - 1.0 / n)
-    return float(out) if scalar else out
+        out = (1.0 + mod2[0]) * _sum(mod2[1:]) ** (1.0 - 1.0 / n)
+    return float(out) if single else out
 
 
 def _require_regular(f: SolutionFamily, t) -> None:
@@ -107,8 +130,9 @@ def _require_regular(f: SolutionFamily, t) -> None:
 
 def eval_analytic_hessian(f: SolutionFamily, pt) -> HermitianForm:
     """Paper-supplied complex Hessian; pogorelov kinds only."""
-    a, mod2 = _split(f, pt)
-    if a.ndim != 1:
+    a = np.asarray(pt, dtype=float)
+    mod2, single = _squared_moduli(f, a)
+    if not single:
         raise ValueError("analytic Hessian is a single-point evaluator")
     t = float(mod2[-1])
     z = a[0::2] + 1j * a[1::2]
@@ -131,7 +155,7 @@ def eval_analytic_hessian(f: SolutionFamily, pt) -> HermitianForm:
             h[i, i] = s ** (1.0 / m)
             h[i, m - 1] = np.conj(z[i]) * w / m * s ** (-(m - 1.0) / m)
             h[m - 1, i] = np.conj(h[i, m - 1])
-        zsum = float(np.sum(mod2[:-1]))
+        zsum = float(_sum(mod2[:-1]))
         h[m - 1, m - 1] = (1.0 + zsum) * (t + m * f.eps) / (m * m) * s ** (-(2.0 * m - 1.0) / m)
         return HermitianForm(h)
     raise UnsupportedFamily(
@@ -139,10 +163,10 @@ def eval_analytic_hessian(f: SolutionFamily, pt) -> HermitianForm:
 
 
 def eval_rhs(f: SolutionFamily, pt):
-    """Closed-form determinant of the complex Hessian (the equation's rhs)."""
-    a, mod2 = _split(f, pt)
-    scalar = a.ndim == 1
-    t = mod2[..., -1]
+    """Closed-form determinant of the complex Hessian (the equation's rhs);
+    accepts a point, an (..., 2m) array or an open grid."""
+    mod2, single = _squared_moduli(f, pt)
+    t = mod2[-1]
     if f.kind == "blocki":
         raise UnsupportedFamily("blocki has no closed-form rhs")
     if f.kind == "theorem_v":
@@ -151,13 +175,13 @@ def eval_rhs(f: SolutionFamily, pt):
         out = np.zeros_like(t)
     elif f.kind == "pogorelov2":
         _require_regular(f, t)
-        out = (t + 2.0 * f.eps * (1.0 + mod2[..., 0])) / (t + f.eps)
+        out = (t + 2.0 * f.eps * (1.0 + mod2[0])) / (t + f.eps)
     else:  # pogorelov_n
         _require_regular(f, t)
         m = f.dim
-        zsum = np.sum(mod2[..., :-1], axis=-1)
+        zsum = _sum(mod2[:-1])
         out = (t / (m * m) + (f.eps / m) * (1.0 + zsum)) / (t + f.eps)
-    return float(out) if scalar else out
+    return float(out) if single else out
 
 
 def verify_identity(f: SolutionFamily, pt) -> dict:

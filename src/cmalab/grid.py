@@ -108,21 +108,22 @@ class GridDomain:
         hi = self.center[axis] + self.half_widths[axis]
         return np.linspace(lo, hi, self.points_per_axis[axis])
 
+    def open_grid(self) -> tuple:
+        """The 2n axis coordinate arrays, array a spanning axis a only, so
+        that together they broadcast to every node of the grid."""
+        return np.ix_(*[self.axis_coords(a) for a in range(self.center.size)])
+
     def node_coords_flat(self) -> np.ndarray:
         """All node coordinates, shape (num_nodes, 2n), row-major axis order."""
-        slabs = _Slabs(self)
-        return slabs.write(0, slabs.rows, np.empty((self.num_nodes, self.center.size)))
+        return np.stack(np.broadcast_arrays(*self.open_grid()), axis=-1).reshape(
+            self.num_nodes, self.center.size)
 
     def excluded_mask(self) -> np.ndarray:
         """Boolean array over the grid, True where a node is excluded from integrals."""
         mask = np.zeros(self.shape, dtype=bool)
         if self.excluded_tube_radius > 0:
-            r2 = 0.0   # spans the singular axes only, by broadcasting
-            for a in self.singular_axes:
-                coords = self.axis_coords(a)
-                sl = [None] * len(self.shape)
-                sl[a] = slice(None)
-                r2 = r2 + (coords[tuple(sl)]) ** 2
+            grid = self.open_grid()   # r2 spans the singular axes only
+            r2 = sum(grid[a] ** 2 for a in self.singular_axes)
             mask |= r2 < self.excluded_tube_radius**2
         return mask
 
@@ -143,63 +144,20 @@ class GridField:
             raise NonFiniteSample(idx, float(v[idx]))
 
 
-# nodes per slab of `sample`: the coordinates of one slab stay in cache
-# and the full (num_nodes, 2n) coordinate array is never built
-_SLAB_NODES = 1 << 16
-
-
-class _Slabs:
-    """The nodes of a domain in row-major order, cut into rows of the
-    trailing block: the last axes whose node count stays within
-    _SLAB_NODES (at least the last axis).  A slab is a range of rows."""
-
-    def __init__(self, domain: GridDomain):
-        shape = domain.shape
-        t = 1
-        while t < len(shape) and math.prod(shape[-t - 1:]) <= _SLAB_NODES:
-            t += 1
-        self.lead_shape = shape[:-t]
-        self.block_shape = shape[-t:]
-        self.block = math.prod(self.block_shape)
-        self.rows = math.prod(self.lead_shape)
-        self.rows_per_slab = max(1, _SLAB_NODES // self.block)
-        self.axes = [domain.axis_coords(a) for a in range(len(shape))]
-
-    def write(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Coordinates of rows [start, stop) into out, shape (M, 2n) with
-        M = (stop - start) * block; the same numbers as a meshgrid would hold."""
-        lead = len(self.lead_shape)
-        view = out.reshape((stop - start,) + self.block_shape + (len(self.axes),))
-        idx = np.unravel_index(np.arange(start, stop), self.lead_shape) if lead else ()
-        tail = (1,) * len(self.block_shape)
-        for a, coords in enumerate(self.axes):
-            if a < lead:
-                view[..., a] = coords[idx[a]].reshape((-1,) + tail)
-            else:
-                bshape = [1] * (1 + len(self.block_shape))
-                bshape[1 + a - lead] = -1
-                view[..., a] = coords.reshape(bshape)
-        return out
-
-
 def sample(domain: GridDomain, f) -> GridField:
-    """Evaluate f on every node.  f takes an (M, 2n) coordinate array and
-    returns M values; a result of another shape raises ValueError, and a
-    non-finite value raises NonFiniteSample at its first node.
-
-    f sees one slab of about _SLAB_NODES nodes at a time, in row-major
-    order, so f must be row-wise.
+    """Evaluate f on every node.  f gets the open grid of the domain, 2n
+    arrays where array a holds axis a's coordinates and broadcasts along
+    every other axis, and returns an array that broadcasts to the grid;
+    one that does not raises ValueError, and a non-finite value raises
+    NonFiniteSample at its first node in row-major order.
     """
-    slabs = _Slabs(domain)
-    vals = np.empty(domain.num_nodes)
-    buf = np.empty((min(slabs.rows_per_slab, slabs.rows) * slabs.block, domain.center.size))
-    for start in range(0, slabs.rows, slabs.rows_per_slab):
-        stop = min(start + slabs.rows_per_slab, slabs.rows)
-        lo, hi = start * slabs.block, stop * slabs.block
-        part = np.asarray(f(slabs.write(start, stop, buf[:hi - lo])), dtype=float)
-        if part.shape != (hi - lo,):
-            raise ValueError(f"f returned shape {part.shape} for {hi - lo} points")
-        vals[lo:hi] = part
+    vals = np.asarray(f(domain.open_grid()), dtype=float)
+    if vals.shape != domain.shape or not vals.flags.c_contiguous:
+        try:
+            vals = np.broadcast_to(vals, domain.shape).copy()
+        except ValueError:
+            raise ValueError(f"f returned shape {vals.shape} for a grid of shape "
+                             f"{domain.shape}") from None
     return GridField(domain, vals)
 
 

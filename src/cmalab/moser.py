@@ -76,8 +76,10 @@ def critical_exponent(params: MoserParams) -> float:
 def b_term(params: MoserParams, k: int) -> float:
     """b_k = (2 p_k + n)/(2 p_k)."""
     _check_k(k, minimum=1)
-    pk = p_sequence(params, k)
-    return (2.0 * pk + params.n) / (2.0 * pk)
+    two_pk = 2.0 * p_sequence(params, k)
+    if not math.isfinite(two_pk):
+        raise OverflowError(f"2 p_{k} overflows double precision")
+    return (two_pk + params.n) / two_pk
 
 
 def b_product(params: MoserParams, k: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit
-from .families import SolutionFamily, eval_value
+from .families import SolutionFamily
 from .grid import (GridDomain, complex_laplacian_fd, sample,
                    second_derivative_magnitude)
 
@@ -43,7 +43,7 @@ class ScanEntry:
 
 def _callable_of(f):
     if isinstance(f, SolutionFamily):
-        return lambda pts: eval_value(f, pts)
+        return f.value
     return f
 
 
@@ -134,7 +134,7 @@ def _refinement_masses(f: SolutionFamily, points_singular: int, p_list,
     """The integral of |observable|^p on one scan grid, for each p."""
     dom = _scan_domain(f, points_singular)
     observable = complex_laplacian_fd if use_laplacian else second_derivative_magnitude
-    magnitude, weights = _mass_terms(observable(sample(dom, lambda pts: eval_value(f, pts))))
+    magnitude, weights = _mass_terms(observable(sample(dom, f.value)))
     masses = []
     for p in p_list:
         integrand = magnitude ** p

@@ -122,7 +122,7 @@ def check_touch_below(u: SolutionFamily, q: QuadraticJet, radius: float,
     return {"touches": touches, "g_value": g_value, "verdict": verdict}
 
 
-def _w_axis_scan(u: SolutionFamily, p0: np.ndarray, radius: float) -> np.ndarray:
+def _w_axis_scan(p0: np.ndarray, radius: float) -> np.ndarray:
     """Points along the w-plane through p0, log-spaced radii down to ~1e-14."""
     theta = np.linspace(0.0, 2.0 * math.pi, _SCAN_ANGLES, endpoint=False)
     rr = radius * np.exp(np.linspace(0.0, math.log(1e-14), _SCAN_DEPTHS))
@@ -150,7 +150,7 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
     rng = np.random.default_rng(seed)
     value = eval_value(u, p0)
     dim = p0.size
-    scan = _w_axis_scan(u, p0, radius)
+    scan = _w_axis_scan(p0, radius)
     scan_u = eval_value(u, scan)
     ball = _ball_points(p0, radius, _BALL_SAMPLES, rng)
     ball_u = eval_value(u, ball)

@@ -333,6 +333,8 @@ def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
                  "kmax must be at most 200", "moser.csv", id="moser-kmax-500"),
     pytest.param(["moser", "--a", "1e308"],
                  "p_1 overflows double precision", "moser.csv", id="moser-a-1e308"),
+    pytest.param(["moser", "--n", "3", "--a", "1e308", "--kmax", "1"],
+                 "2 p_1 overflows double precision", "moser.csv", id="moser-n3-a-1e308"),
 ])
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
     # a config error: exit 2, logged, and neither the command's output nor

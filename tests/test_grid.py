@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from cmalab import grid
 from cmalab.errors import BoundaryNode, GridTooLarge, NonFiniteSample
-from cmalab.families import SolutionFamily, eval_analytic_hessian, eval_value
+from cmalab.families import SolutionFamily, eval_analytic_hessian, eval_rhs, eval_value
 from cmalab.grid import (GridDomain, GridField, _second_diff, complex_hessian_fd,
                          complex_laplacian_fd, field_to_csv, real_hessian_fd,
                          sample, second_derivative_magnitude,
@@ -55,17 +54,16 @@ def test_excluded_tube():
 def test_sample_rejects_nonfinite_outside_tube():
     dom = box(9)
 
-    def f(pts):
-        out = np.ones(pts.shape[:-1])
-        out[np.abs(pts[..., 0]) < 1e-12] = np.nan
-        return out
+    def f(grid):
+        return np.where(np.abs(grid[0]) < 1e-12, np.nan, 1.0)
 
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(NonFiniteSample) as err:
         sample(dom, f)
+    assert err.value.node == (4, 0, 0, 0)
 
     # the excluded tube only leaves integrals: a nan inside it is refused too
-    def in_tube(pts):
-        t = pts[..., -2] ** 2 + pts[..., -1] ** 2
+    def in_tube(grid):
+        t = grid[-2] ** 2 + grid[-1] ** 2
         return np.where(t > 0, 1.0, np.nan)
 
     with pytest.raises(NonFiniteSample) as err:
@@ -78,62 +76,81 @@ def meshgrid_coords(dom):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def scan_box():
+def scan_box(n=3):
     # a W^{2,p} scan layout: coarse regular axes, fine singular ones
-    return GridDomain(np.full(6, 0.1), np.full(6, 1.0), (5, 5, 5, 5, 21, 23),
+    pts = (4, 3) * (n - 1) + (11, 13)
+    return GridDomain(np.full(2 * n, 0.1), np.full(2 * n, 1.0), pts,
                       excluded_tube_radius=0.2)
 
 
-@pytest.mark.parametrize("slab_nodes", [None, 100, 7])
-def test_node_coords_flat_equals_meshgrid(monkeypatch, slab_nodes):
-    if slab_nodes is not None:
-        monkeypatch.setattr(grid, "_SLAB_NODES", slab_nodes)
+def test_node_coords_flat_equals_meshgrid():
     for dom in (scan_box(), box(9), box(300, n=1), GridDomain([0.5, -1.0], [1.0, 2.0], (3, 4))):
         assert np.array_equal(dom.node_coords_flat(), meshgrid_coords(dom))
 
 
-@pytest.mark.parametrize("slab_nodes", [None, 1000, 7])
-def test_sample_slabs_equal_one_call(monkeypatch, slab_nodes):
-    if slab_nodes is not None:
-        monkeypatch.setattr(grid, "_SLAB_NODES", slab_nodes)
-    dom = scan_box()
-    assert dom.num_nodes > 2 * grid._SLAB_NODES   # several slabs
-    for fam in (SolutionFamily("theorem_v", 3, 0.0), SolutionFamily("pogorelov_n", 3, 0.3)):
-        u = sample(dom, lambda pts: eval_value(fam, pts))
-        ref = eval_value(fam, meshgrid_coords(dom)).reshape(dom.shape)
-        assert np.array_equal(u.values, ref)
+def families(n):
+    kinds = [("pogorelov2", 0.3)] if n == 2 else [("pogorelov_n", 0.3)]
+    kinds += [("theorem_v", 0.0), ("degenerate", 0.0), ("blocki", 0.0)]
+    return [SolutionFamily(kind, n, eps) for kind, eps in kinds]
 
 
-def test_sample_point_fallback(monkeypatch):
-    # there is none: f gets whole slabs, and whatever it does with one shows
-    monkeypatch.setattr(grid, "_SLAB_NODES", 500)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sample_equals_point_form(n):
+    # the open grid form broadcasts per-axis terms; every node still gets
+    # the bits of the point form
+    dom = scan_box(n)
+    coords = meshgrid_coords(dom)
+    for fam in families(n):
+        u = sample(dom, fam.value)
+        assert u.values.tobytes() == eval_value(fam, coords).reshape(dom.shape).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eval_rhs_grid_form_equals_point_form(n):
+    dom = scan_box(n)
+    coords = meshgrid_coords(dom)
+    for fam in families(n)[:-1]:   # blocki has no closed-form rhs
+        u = sample(dom, lambda grid: eval_rhs(fam, grid))
+        assert u.values.tobytes() == eval_rhs(fam, coords).reshape(dom.shape).tobytes()
+
+
+def test_sample_point_fallback():
+    # there is none: f gets the whole open grid, and whatever it does with it shows
     dom = box(7)
 
     def pointwise(p):
-        p = np.asarray(p)
-        if p.ndim != 1:
+        if isinstance(p, tuple):
             raise TypeError("one point at a time")
-        return float(np.sum(p * p))
+        return float(np.sum(np.asarray(p) ** 2))
 
-    def wrong_shape(p):
-        return float(np.sum(np.asarray(p) ** 2))   # a scalar for a whole slab
+    def wrong_shape(grid):
+        return np.zeros(3)
 
     with pytest.raises(TypeError, match="one point at a time"):
         sample(dom, pointwise)
-    with pytest.raises(ValueError, match=r"shape \(\) for 343 points"):
+    with pytest.raises(ValueError, match=r"shape \(3,\) for a grid of shape \(7, 7, 7, 7\)"):
         sample(dom, wrong_shape)
 
+    # a full C-contiguous float64 result is kept, any other is broadcast
+    full = np.ones(dom.shape)
+    assert np.shares_memory(sample(dom, lambda grid: full).values, full)
+    assert np.array_equal(sample(dom, lambda grid: 2.0).values, np.full(dom.shape, 2.0))
+    t = sample(dom, lambda grid: grid[0] + 0 * grid[3]).values
+    assert t.flags.c_contiguous and t.shape == dom.shape
 
-def test_sample_nonfinite_first_node_and_tube(monkeypatch):
-    monkeypatch.setattr(grid, "_SLAB_NODES", 100)
+
+def test_sample_nonfinite_first_node_and_tube():
     dom = box(9, excluded_tube_radius=0.3)
     coords = meshgrid_coords(dom).reshape(dom.shape + (4,))
     bad = [(6, 2, 0, 8), (1, 5, 7, 0), (4, 4, 4, 4)]   # 2nd first in row-major
 
-    def f(pts):
-        out = np.ones(len(pts))
+    def f(grid):
+        out = np.ones(dom.shape)
         for node in bad:
-            out[np.all(pts == coords[node], axis=1)] = np.nan
+            hit = True
+            for g, c in zip(grid, coords[node]):
+                hit = hit & (g == c)
+            out[hit] = np.nan
         return out
 
     with pytest.raises(NonFiniteSample) as err:

@@ -71,6 +71,9 @@ def test_log_a_sums_cauchy():
 def test_k_cap_overflow():
     with pytest.raises(OverflowError):
         p_sequence(MoserParams(2, 1.0), 201)
+    # p_1 = 1.5e308 is finite but 2 p_1 is not: b_1 would be inf/inf = nan
+    with pytest.raises(OverflowError, match="2 p_1"):
+        b_term(MoserParams(3, 1e308), 1)
 
 
 def test_subsum_examples():

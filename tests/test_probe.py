@@ -5,7 +5,8 @@ import pytest
 
 from cmalab import probe
 from cmalab.families import SolutionFamily
-from cmalab.grid import complex_laplacian_fd, sample, second_derivative_magnitude
+from cmalab.grid import (GridDomain, complex_laplacian_fd, sample,
+                         second_derivative_magnitude)
 from cmalab.probe import holder_fit, rhs_lipschitz_scaling, w2p_divergence_scan
 
 
@@ -79,6 +80,19 @@ def test_mass_terms_ignore_values_at_invalid_nodes():
     values[0, 0, 0, 0] = 1e300      # a boundary-ring node: zero weight
     magnitude, weights = probe._mass_terms(type(obs)(obs.domain, values))
     assert np.isfinite(np.sum(magnitude ** 12.0 * weights))
+
+
+def test_w2p_scans_build_no_coordinate_array(monkeypatch):
+    # the scans sample their families on the open grid, never on the
+    # (num_nodes, 2n) node list
+    def refuse(self):
+        raise AssertionError("node_coords_flat called")
+
+    monkeypatch.setattr(GridDomain, "node_coords_flat", refuse)
+    for fam, opts in ((SolutionFamily("theorem_v", 3), {}),
+                      (SolutionFamily("blocki", 3), {"use_laplacian": True})):
+        scan = w2p_divergence_scan(fam, [0.5, 2.0], refinements=2, base_points=9, **opts)
+        assert len(scan) == 2
 
 
 @pytest.mark.parametrize("p", [0.0, -1.0])

@@ -132,7 +132,7 @@ def reference_search(u, p0, radius, attempts, seed, samples=2000):
     p0 = np.asarray(p0, dtype=float)
     rng = np.random.default_rng(seed)
     value = viscosity.eval_value(u, p0)
-    scan = viscosity._w_axis_scan(u, p0, radius)
+    scan = viscosity._w_axis_scan(p0, radius)
     scan_u = viscosity.eval_value(u, scan)
     ball = viscosity._ball_points(p0, radius, samples, rng)
     ball_u = viscosity.eval_value(u, ball)
@@ -202,7 +202,7 @@ def test_batched_witness_slack_covers_the_jet_value():
     rng = np.random.default_rng(5)
     u0 = SolutionFamily("pogorelov_n", 3, 0.0)
     p0 = np.array([0.2, -0.1, 0.0, 0.3, 0.0, 0.0])
-    scan = viscosity._w_axis_scan(u0, p0, 0.1)
+    scan = viscosity._w_axis_scan(p0, 0.1)
     target = eval_value(u0, scan)
     grads = rng.normal(size=(50, 6))
     sym = rng.normal(size=(50, 6, 6)) * 1e5
