@@ -148,6 +148,8 @@ def _random_points(fam: SolutionFamily, count: int, min_w: float, rng) -> np.nda
 def _cmd_verify(settings: _Settings, out_dir: str, seed: int) -> int:
     fam = _family_from(settings)
     count = settings.number("points", int, 1000)
+    if count < 1:
+        raise ConfigError(f"points must be >= 1, got {count!r}")
     min_w = settings.number("min_w", float, 1e-3)
     # _random_points redraws w from [-1, 1]^2 until |w| > min_w: below 1 at
     # least 1 - pi/4 of the draws pass, while min_w >= sqrt(2) passes none

@@ -121,8 +121,13 @@ def random_third_order_samples(n: int, count: int, rng: np.random.Generator):
     d log-uniform over _D_RANGE.  Returned as stacked arrays."""
     lo, hi = np.log(_D_RANGE[0]), np.log(_D_RANGE[1])
     d = np.exp(rng.uniform(lo, hi, size=(count, n)))
-    T = rng.normal(size=(count, n, n, n)) + 1j * rng.normal(size=(count, n, n, n))
-    T = 0.5 * (T + T.transpose(0, 3, 2, 1))
+    # real parts first, then imaginary parts, drawn straight into T
+    shape = (count, n, n, n)
+    T = np.empty(shape, dtype=complex)
+    T.real = rng.standard_normal(shape)
+    T.imag = rng.standard_normal(shape)
+    T += T.transpose(0, 3, 2, 1)   # numpy buffers the overlapping operand
+    T *= 0.5
     return d, T
 
 

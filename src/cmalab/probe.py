@@ -165,9 +165,15 @@ def w2p_divergence_scan(f: SolutionFamily, p_list, refinements: int = 3,
     p_list = sorted(float(p) for p in p_list)
     if any(not p > 0 for p in p_list):
         raise ValueError("p must be positive")
+    if not math.isfinite(growth):
+        raise ValueError(f"growth must be finite, got {growth!r}")
     counts = [base_points]
     for _ in range(refinements - 1):
         counts.append(int(round((counts[-1] - 1) * growth)) + 1)
+    # a slope needs two resolutions; through one point it is meaningless
+    if len(set(counts)) < 2:
+        raise ValueError(f"refinements = {refinements} and growth = {growth!r} "
+                         "give fewer than two distinct resolutions")
     masses = np.array([_refinement_masses(f, cnt, p_list, use_laplacian)
                        for cnt in counts]).T
     log_h = np.log(np.array([2.0 * _SCAN_HALF_WIDTH / (cnt - 3) for cnt in counts]))

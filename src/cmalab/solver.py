@@ -24,6 +24,14 @@ node's Hessian is factored as LDL^H, with no whole-array temporaries.
 Their outputs are interior arrays the solver owns.  The n >= 3 guard is
 "smallest eigenvalue > guard", checked at each node on the pivots of
 H - guard I.
+
+`scipy.sparse.linalg` is imported inside `newton_solve` and
+`_interior_linop`, the only code that uses it, so it loads on the first
+Newton solve only.  Importing cmalab, and every check that never
+solves, skips its 0.28-0.33 s import: `import cmalab.cli` takes
+0.17-0.26 s instead of 0.39-0.61 s (`python3 -X importtime`, 2-core
+VM).  `spla.bicgstab` and `spla.LinearOperator` are looked up on that
+module at call time, so patching them there still reaches the solver.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import kernels
 from .errors import NonConverged, NotPlurisubharmonic
@@ -53,8 +60,8 @@ class DirichletProblem:
     Lambda: float = 10.0
 
     def __post_init__(self):
-        if self.Lambda <= 0:
-            raise ValueError("Lambda must be positive")
+        if not (math.isfinite(self.Lambda) and self.Lambda > 0):
+            raise ValueError(f"Lambda must be finite and positive, got {self.Lambda!r}")
         for f in (self.rhs, self.boundary):
             if f.domain.shape != self.domain.shape:
                 raise ValueError("field shapes must match the domain")
@@ -72,8 +79,9 @@ class NewtonConfig:
     psd_guard: float = 1e-12
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
+        # an infinite tolerance would accept any initial guess as the solution
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ValueError(f"tol_residual must be finite and positive, got {self.tol_residual!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         # a zero step floor would let alpha halve to 0.0 and retry forever
@@ -233,6 +241,7 @@ class _DstPreconditioner:
 
 
 def _interior_linop(op: WirtingerOperator):
+    import scipy.sparse.linalg as spla  # on first use only: see the module docstring
     shape = op.domain.shape
     core = _interior(shape)
     m = int(np.prod([s - 2 for s in shape]))
@@ -404,6 +413,7 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     the NotPlurisubharmonic raised carries the same as its `result`,
     with that search's halvings and rejections last.
     """
+    import scipy.sparse.linalg as spla  # on first use only: see the module docstring
     dom = prob.domain
     shape = dom.shape
     core = _interior(shape)

@@ -145,8 +145,8 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
     p0 = as_point(p0)
     _check_base(u, p0)
     _check_radius(radius)
-    if attempts < 0:
-        raise ValueError("attempts must be nonnegative")
+    if attempts < 1:
+        raise ValueError(f"attempts must be >= 1, got {attempts!r}")
     rng = np.random.default_rng(seed)
     value = eval_value(u, p0)
     dim = p0.size

@@ -15,7 +15,7 @@ import pytest
 
 from cmalab import moser, probe, viscosity
 from cmalab.families import SolutionFamily, eval_rhs, verify_identity
-from cmalab.grid import GridDomain, GridField, complex_hessian_fd, sample
+from cmalab.grid import GridDomain, complex_hessian_fd, sample
 from cmalab.hermitian import HermitianForm, herm_det
 from cmalab.solver import DirichletProblem, NewtonConfig, newton_solve
 from cmalab.viscosity import QuadraticJet, check_touch_below, g_operator
@@ -146,8 +146,7 @@ def test_criterion_5_solver_convergence():
         dom = GridDomain(np.zeros(4), np.ones(4), (points,) * 4,
                          max_nodes=20_000_000)
         oracle = sample(dom, fam.value)
-        rhs = GridField(dom, np.log(
-            eval_rhs(fam, dom.node_coords_flat())).reshape(dom.shape))
+        rhs = sample(dom, lambda g: np.log(eval_rhs(fam, g)))
         out = newton_solve(DirichletProblem(dom, rhs, oracle),
                            NewtonConfig(tol_residual=1e-9, max_iters=12))
         errs[points] = float(np.max(np.abs(out["solution"].values - oracle.values)))

@@ -1,6 +1,7 @@
 import csv
 import functools
 import json
+import math
 import os
 
 import pytest
@@ -335,11 +336,32 @@ def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
                  "p_1 overflows double precision", "moser.csv", id="moser-a-1e308"),
     pytest.param(["moser", "--n", "3", "--a", "1e308", "--kmax", "1"],
                  "2 p_1 overflows double precision", "moser.csv", id="moser-n3-a-1e308"),
+    pytest.param(["solve", "--eps", "1", "--points", "9", "--tol-residual", "inf"],
+                 "tol_residual must be finite and positive", "report.json",
+                 id="solve-tol-residual-inf"),
+    pytest.param(["solve", "--eps", "1", "--points", "9", "--tol-residual", "nan"],
+                 "tol_residual must be finite and positive", "report.json",
+                 id="solve-tol-residual-nan"),
+    pytest.param(["solve", "--config", {"Lambda": math.nan, "eps": 1, "points": 9}],
+                 "Lambda must be finite and positive", "report.json", id="solve-Lambda-nan"),
+    pytest.param(["probe", "--refinements", "1"],
+                 "fewer than two distinct resolutions", "probe.json", id="probe-refinements-1"),
+    pytest.param(["probe", "--growth", "inf"],
+                 "growth must be finite", "probe.json", id="probe-growth-inf"),
+    pytest.param(["viscosity", "--attempts", "0"],
+                 "attempts must be >= 1", "viscosity.json", id="viscosity-attempts-0"),
+    pytest.param(["verify", "--points", "0"],
+                 "points must be >= 1", "verify.json", id="verify-points-0"),
 ])
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
     # a config error: exit 2, logged, and neither the command's output nor
-    # a failure report
+    # a failure report; a dict in argv stands for a config file holding it
     out = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            cfg.write_text(json.dumps(arg))
+    argv = [str(cfg) if isinstance(arg, dict) else arg for arg in argv]
     assert main(argv + ["--out", out]) == 2
     assert message in capsys.readouterr().err
     for name in (output, "failure.json"):

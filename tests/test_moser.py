@@ -91,6 +91,28 @@ def test_symmetry_enforced():
     assert np.array_equal(T, T.transpose(0, 3, 2, 1))
 
 
+def _reference_third_order_samples(n, count, rng):
+    """The draw written as whole-array expressions, with temporaries."""
+    lo, hi = np.log(1e-3), np.log(1e3)
+    d = np.exp(rng.uniform(lo, hi, size=(count, n)))
+    T = rng.normal(size=(count, n, n, n)) + 1j * rng.normal(size=(count, n, n, n))
+    T = 0.5 * (T + T.transpose(0, 3, 2, 1))
+    return d, T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_samples_equal_reference_bitwise(n):
+    # the in-place draw takes the same numbers from the generator, in the
+    # same order, and leaves it in the same state
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    d, T = random_third_order_samples(n, 700, rng)
+    ref_d, ref_T = _reference_third_order_samples(n, 700, ref_rng)
+    assert T.dtype == ref_T.dtype and T.shape == ref_T.shape
+    assert np.array_equal(d.view(np.uint64), ref_d.view(np.uint64))
+    assert np.array_equal(T.view(float).view(np.uint64), ref_T.view(float).view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_random_batches_hold():
     rng = np.random.default_rng(1)
     for n in (2, 3, 4):

@@ -25,3 +25,28 @@ def test_no_bare_assert_outside_tests():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _module_level(node):
+    """The nodes that run when a module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _module_level(child)
+
+
+def test_no_module_level_scipy_import():
+    # `import cmalab` stays free of scipy: only the Newton solve needs it,
+    # and it imports scipy.sparse.linalg inside the functions that use it
+    found = []
+    for path in sorted((ROOT / "src/cmalab").rglob("*.py")):
+        for node in _module_level(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []

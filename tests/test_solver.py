@@ -654,6 +654,13 @@ def test_cli_import_leaves_out_scipy_fft():
     assert _child(code).strip() == "False"
 
 
+def test_cli_import_leaves_out_scipy():
+    # scipy.sparse.linalg loads on the first Newton solve, not at start-up
+    code = ("import sys, cmalab, cmalab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _child(code).strip() == "[]"
+
+
 def test_float32_dst_close_to_float64():
     dom = box(11)
     r = np.random.default_rng(4).normal(size=9 ** 4)
