@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 from cmalab import cli
 from cmalab.cli import main
+from cmalab.errors import IdentityViolated
 
 
 def read_json(path):
@@ -54,6 +55,7 @@ def test_bad_config_exits_2(tmp_path):
     (["solve", "--points", "9"], {"threads": 2.5}, "threads"),
     (["solve", "--points", "9"], {"threads": True}, "threads"),
     (["verify"], {"points": True}, "points"),
+    (["verify"], [1], "config"),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
                                             argv, config, key):
@@ -290,68 +292,89 @@ def test_run_log_names_threads_and_kernels(tmp_path, monkeypatch, capsys):
 def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
     out = str(tmp_path)
     assert main(["solve", "--out", out, "--eps", eps, "--points", "5"]) == 2
-    assert "eps must be finite" in capsys.readouterr().err
+    assert "eps must be a finite number in (0, inf)" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "failure.json"))
 
 
 @pytest.mark.parametrize("argv, message, output", [
     pytest.param(["hessian", "--point", "1,0,1,0", "--h", "nan"],
-                 "half widths must be finite", "hessian.json", id="hessian-h-nan"),
+                 "h must be a finite number in [1e-6, 1]", "hessian.json", id="hessian-h-nan"),
     pytest.param(["hessian", "--point", "1,0,1,0", "--h", "inf"],
-                 "half widths must be finite", "hessian.json", id="hessian-h-inf"),
+                 "h must be a finite number in [1e-6, 1]", "hessian.json", id="hessian-h-inf"),
     pytest.param(["hessian", "--point", "1,nan,1,0"],
-                 "center must be finite", "hessian.json", id="hessian-point-nan"),
+                 "point must be a list of finite numbers", "hessian.json", id="hessian-point-nan"),
     pytest.param(["solve", "--eps", "1", "--points", "5", "--half-width", "nan"],
-                 "half widths must be finite", "report.json", id="solve-half-width-nan"),
+                 "half_width must be a finite number in [1e-3, 1e3]", "report.json",
+                 id="solve-half-width-nan"),
     pytest.param(["solve", "--eps", "1", "--points", "5", "--half-width", "inf"],
-                 "half widths must be finite", "report.json", id="solve-half-width-inf"),
+                 "half_width must be a finite number in [1e-3, 1e3]", "report.json",
+                 id="solve-half-width-inf"),
     pytest.param(["viscosity", "--attempts", "5", "--radius", "nan"],
-                 "radius must be finite and positive", "viscosity.json", id="viscosity-radius-nan"),
+                 "radius must be a finite number in [1e-9, 1e6]", "viscosity.json", id="viscosity-radius-nan"),
     pytest.param(["viscosity", "--attempts", "5", "--radius", "0"],
-                 "radius must be finite and positive", "viscosity.json", id="viscosity-radius-0"),
+                 "radius must be a finite number in [1e-9, 1e6]", "viscosity.json", id="viscosity-radius-0"),
     pytest.param(["viscosity", "--attempts", "5", "--radius", "-0.1"],
-                 "radius must be finite and positive", "viscosity.json",
+                 "radius must be a finite number in [1e-9, 1e6]", "viscosity.json",
                  id="viscosity-radius-negative"),
     pytest.param(["verify", "--points", "10", "--min-w", "2"],
-                 "min_w must lie in [0, 1)", "verify.json", id="verify-min-w-2"),
+                 "min_w must be a finite number in [0, 1)", "verify.json", id="verify-min-w-2"),
     pytest.param(["verify", "--points", "10", "--min-w", "nan"],
-                 "min_w must lie in [0, 1)", "verify.json", id="verify-min-w-nan"),
+                 "min_w must be a finite number in [0, 1)", "verify.json", id="verify-min-w-nan"),
     pytest.param(["verify", "--points", "10", "--tol", "nan"],
-                 "tol must be finite and positive", "verify.json", id="verify-tol-nan"),
+                 "tol must be a finite number in (0, inf)", "verify.json", id="verify-tol-nan"),
     pytest.param(["verify", "--points", "10", "--tol", "0"],
-                 "tol must be finite and positive", "verify.json", id="verify-tol-0"),
+                 "tol must be a finite number in (0, inf)", "verify.json", id="verify-tol-0"),
     pytest.param(["verify", "--points", "10", "--tol", "-1"],
-                 "tol must be finite and positive", "verify.json", id="verify-tol-negative"),
+                 "tol must be a finite number in (0, inf)", "verify.json", id="verify-tol-negative"),
     pytest.param(["moser", "--a", "nan"],
-                 "a must be finite and positive", "moser.csv", id="moser-a-nan"),
+                 "a must be a finite number in (0, inf)", "moser.csv", id="moser-a-nan"),
     pytest.param(["moser", "--a", "inf"],
-                 "a must be finite and positive", "moser.csv", id="moser-a-inf"),
+                 "a must be a finite number in (0, inf)", "moser.csv", id="moser-a-inf"),
     pytest.param(["moser", "--C", "nan", "--kmax", "3"],
-                 "C must be finite and positive", "moser.csv", id="moser-C-nan"),
+                 "C must be a finite number in (0, inf)", "moser.csv", id="moser-C-nan"),
     pytest.param(["moser", "--C", "inf", "--kmax", "3"],
-                 "C must be finite and positive", "moser.csv", id="moser-C-inf"),
+                 "C must be a finite number in (0, inf)", "moser.csv", id="moser-C-inf"),
     pytest.param(["moser", "--kmax", "500"],
-                 "kmax must be at most 200", "moser.csv", id="moser-kmax-500"),
+                 "kmax must be an integer in [1, 200]", "moser.csv", id="moser-kmax-500"),
     pytest.param(["moser", "--a", "1e308"],
                  "p_1 overflows double precision", "moser.csv", id="moser-a-1e308"),
     pytest.param(["moser", "--n", "3", "--a", "1e308", "--kmax", "1"],
                  "2 p_1 overflows double precision", "moser.csv", id="moser-n3-a-1e308"),
     pytest.param(["solve", "--eps", "1", "--points", "9", "--tol-residual", "inf"],
-                 "tol_residual must be finite and positive", "report.json",
+                 "tol_residual must be a finite number in (0, 1e-3]", "report.json",
                  id="solve-tol-residual-inf"),
     pytest.param(["solve", "--eps", "1", "--points", "9", "--tol-residual", "nan"],
-                 "tol_residual must be finite and positive", "report.json",
+                 "tol_residual must be a finite number in (0, 1e-3]", "report.json",
                  id="solve-tol-residual-nan"),
     pytest.param(["solve", "--config", {"Lambda": math.nan, "eps": 1, "points": 9}],
-                 "Lambda must be finite and positive", "report.json", id="solve-Lambda-nan"),
+                 "Lambda must be a finite number in (0, inf)", "report.json", id="solve-Lambda-nan"),
     pytest.param(["probe", "--refinements", "1"],
-                 "fewer than two distinct resolutions", "probe.json", id="probe-refinements-1"),
+                 "refinements must be an integer in [2, 16]", "probe.json", id="probe-refinements-1"),
     pytest.param(["probe", "--growth", "inf"],
-                 "growth must be finite", "probe.json", id="probe-growth-inf"),
+                 "growth must be a finite number in (1, 2]", "probe.json", id="probe-growth-inf"),
     pytest.param(["viscosity", "--attempts", "0"],
-                 "attempts must be >= 1", "viscosity.json", id="viscosity-attempts-0"),
+                 "attempts must be an integer in [1, inf)", "viscosity.json", id="viscosity-attempts-0"),
     pytest.param(["verify", "--points", "0"],
-                 "points must be >= 1", "verify.json", id="verify-points-0"),
+                 "points must be an integer in [1, inf)", "verify.json", id="verify-points-0"),
+    # scale settings that gave false results: a false witness (exit 1) or a
+    # vacuous pass after overflow for the radius, an overflow traceback or
+    # shrinking grids for the growth, the initial guess as the solution, NaN
+    # in hessian.json and "Singular matrix"
+    *(pytest.param(["viscosity", "--attempts", "5", "--radius", r],
+                   "radius must be a finite number in [1e-9, 1e6]", "viscosity.json",
+                   id=f"viscosity-radius-{r}") for r in ("1e-20", "1e-100", "1e-200", "1e150")),
+    *(pytest.param(["probe", "--growth", g], "growth must be a finite number in (1, 2]",
+                   "probe.json", id=f"probe-growth-{g}") for g in ("1e300", "0.5", "-2")),
+    pytest.param(["solve", "--eps", "1", "--points", "9", "--tol-residual", "1e300"],
+                 "tol_residual must be a finite number in (0, 1e-3]", "report.json",
+                 id="solve-tol-residual-1e300"),
+    pytest.param(["hessian", "--point", "0,0,0.5,0", "--h", "1e-300"],
+                 "h must be a finite number in [1e-6, 1]", "hessian.json", id="hessian-h-1e-300"),
+    pytest.param(["solve", "--eps", "1", "--points", "9", "--half-width", "1e-300"],
+                 "half_width must be a finite number in [1e-3, 1e3]", "report.json",
+                 id="solve-half-width-1e-300"),
+    pytest.param(["verify", "--points", "10", "--seed", "-1"],
+                 "seed must be an integer in [0, inf)", "verify.json", id="verify-seed--1"),
 ])
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
     # a config error: exit 2, logged, and neither the command's output nor
@@ -368,3 +391,112 @@ def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
         assert not os.path.exists(os.path.join(out, name))
     with open(os.path.join(out, "run.log")) as f:
         assert f.read().splitlines()[-1].endswith(" exit=2")
+
+
+# settings that make each command valid, so that a bad value is the only fault
+_VALID = {"solve": {"eps": 1, "points": 5}, "hessian": {"point": [0.1, 0.2, 0.3, 0.4]}}
+
+
+def _admits(row, value) -> bool:
+    """Whether the row's declared domain holds `value`, a number or a string."""
+    if isinstance(value, str):
+        return row.kind is str and (row.domain is None or value in row.domain)
+    if row.kind not in (int, float, list) or not math.isfinite(value):
+        return False
+    lo, hi = (float(end) for end in row.domain[1:-1].split(","))
+    return ((row.kind is not int or float(value).is_integer())
+            and (lo < value if row.domain[0] == "(" else lo <= value)
+            and (value < hi if row.domain[-1] == ")" else value <= hi))
+
+
+def _outside(row) -> list:
+    """nan, inf, -inf, 0, -1, a non-integral value for an int and the
+    value just past each finite edge of an interval, less those it admits."""
+    values = [math.nan, math.inf, -math.inf, 0, -1] + [1.5] * (row.kind is int)
+    if isinstance(row.domain, str):
+        lo, hi = (float(end) for end in row.domain[1:-1].split(","))
+        for end, is_open, outward in ((lo, row.domain[0] == "(", -1),
+                                      (hi, row.domain[-1] == ")", 1)):
+            if math.isfinite(end):
+                past = end + outward if row.kind is int else math.nextafter(end, outward * math.inf)
+                values.append(end if is_open else past)
+    return [v for v in values if not _admits(row, v)]
+
+
+# `config` is a path, and only its flag reads it
+@pytest.mark.parametrize("command, row", [
+    pytest.param(name, row, id=f"{name}-{row.key}")
+    for name, rows in cli._TABLES.items() for row in cli._COMMON + rows
+    if row.key != "config"])
+def test_setting_outside_its_domain_exits_2(tmp_path, monkeypatch, capsys, command, row):
+    # every value outside the row's domain, from the config file and from
+    # the flag: exit 2 before any work, naming the setting; no output file
+    monkeypatch.chdir(tmp_path)
+    cases = [({row.key: [v] if row.kind is list else v}, []) for v in _outside(row)]
+    if row.flag:
+        cases += [({}, [f"--{row.key.replace('_', '-')}={v}"]) for v in _outside(row)
+                  if not _admits(row, str(v))]
+    assert cases
+    for i, (bad, flags) in enumerate(cases):
+        out = tmp_path / str(i)
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({**_VALID.get(command, {}), **bad}))
+        argv = [command, "--config", str(cfg)] + flags
+        assert main(argv + ([] if "out" in bad else ["--out", str(out)])) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {row.key} must be "), argv
+        if "out" in bad:   # no directory to log to, and nothing written
+            assert all(p.name.startswith("cfg") for p in tmp_path.iterdir()), argv
+            continue
+        assert os.listdir(out) == ["run.log"], argv
+        with open(out / "run.log") as f:
+            assert f.read().splitlines()[-1].endswith(" exit=2")
+
+
+@pytest.mark.parametrize("command", sorted(cli._TABLES))
+def test_help_lists_every_domain(capsys, command):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for row in cli._COMMON + cli._TABLES[command]:
+        name = "--" + row.key.replace("_", "-") if row.flag else row.key + ":"
+        assert f"{name} " in text and cli._describe(row) in text, row.key
+
+
+def test_library_check_failure_writes_failure(tmp_path, monkeypatch, capsys):
+    # a CmaLabError raised inside a command: exit 1 and a failure report
+    def broken(fam, pt):
+        raise IdentityViolated("Hermitian determinant (nan+nanj) is not real")
+
+    monkeypatch.setattr(cli, "verify_identity", broken)
+    assert main(["verify", "--points", "10", "--out", str(tmp_path)]) == 1
+    assert "check failed: Hermitian determinant" in capsys.readouterr().err
+    assert read_json(tmp_path / "failure.json") == {
+        "invariant": "no IdentityViolated",
+        "detail": "Hermitian determinant (nan+nanj) is not real"}
+    assert sorted(os.listdir(tmp_path)) == ["failure.json", "run.log"]
+    with open(tmp_path / "run.log") as f:
+        assert f.read().splitlines()[-1].endswith(" exit=1")
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with open(path) as f:
+        return json.load(f, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, module, name, value, output, key", [
+    (["verify", "--points", "10"], cli, "verify_identity", {"abs_gap": math.nan},
+     "verify.json", "max_gap"),
+    (["moser", "--kmax", "3"], cli.moser, "b_term", math.inf, "moser.csv", "b_k.0"),
+])
+def test_non_finite_output_exits_1(tmp_path, monkeypatch, argv, module, name, value,
+                                   output, key):
+    # a computed NaN or infinity is written nowhere: exit 1, and the report
+    # names the entry and is itself valid JSON
+    monkeypatch.setattr(module, name, lambda *args: value)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    failure = _strict_json(tmp_path / "failure.json")
+    assert failure["invariant"] == "finite outputs"
+    assert f"{output}: {key} = " in failure["detail"]
+    assert not (tmp_path / output).exists()

@@ -649,13 +649,9 @@ def test_float32_dst_workers_do_not_change_result():
     assert one[:2] == ["float64", "True"] and one == two
 
 
-def test_cli_import_leaves_out_scipy_fft():
-    code = "import sys, cmalab.cli; print('scipy.fft' in sys.modules)"
-    assert _child(code).strip() == "False"
-
-
 def test_cli_import_leaves_out_scipy():
-    # scipy.sparse.linalg loads on the first Newton solve, not at start-up
+    # scipy.sparse.linalg loads on the first Newton solve, not at start-up,
+    # and no scipy module (scipy.fft included) loads with the CLI
     code = ("import sys, cmalab, cmalab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _child(code).strip() == "[]"
