@@ -11,8 +11,9 @@ sidecar run.log.
 Exit codes: 0 all checks pass; 1 a mathematical or library check failed,
 and failure.json names the invariant, "finite outputs" for an output
 that would hold a NaN or an infinity (it is not written); 2 a setting
-outside its domain, a grid above its node cap (`--max-nodes` for solve)
-or another configuration or IO error.
+outside its domain, a point or base that does not fit the family and dim,
+a family without the closed form the command needs, a grid above its
+node cap (`--max-nodes` for solve) or another configuration or IO error.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels, moser, probe, viscosity
-from .errors import (CmaLabError, ConfigError, GridTooLarge, NonConverged,
-                     NotPlurisubharmonic)
+from .errors import (BasePointOffSingularSet, CmaLabError, ConfigError,
+                     DimensionMismatch, GridTooLarge, NonConverged, NotPlurisubharmonic,
+                     UnsupportedFamily)
 from .families import (KINDS, SolutionFamily, eval_analytic_hessian, eval_rhs,
                        verify_identity)
 from .grid import (DEFAULT_MAX_NODES, GridDomain, complex_hessian_fd, field_to_csv,
@@ -173,7 +175,9 @@ def _blocki(s: dict) -> bool:
 _COMMON = (_Row("config", str, ""), _Row("out", str, "."), _Row("seed", int, 0, "[0, inf)"))
 _FAMILY = (_Row("family", str, "pogorelov2", KINDS),
            _Row("dim", int, 2, "[2, inf)"))   # each family checks its own dim too
-_EPS = _Row("eps", float, 0.0, "[0, inf)")
+# every use keeps eps <= 1; from 1e3 to 1e50 the gap of `hessian` grows from
+# 9e-10 to 1e13 and `solve` stops converging, and 1e300 overflows its closed form
+_EPS = _Row("eps", float, 0.0, "[0, 1e3]")
 _TABLES = {
     "verify": _FAMILY + (
         _EPS, _Row("points", int, 1000, "[1, inf)"), _Row("tol", float, 1e-10, "(0, inf)"),
@@ -185,7 +189,7 @@ _TABLES = {
         # rounding swamps the stencil below 1e-6 (gap 2e-4 at 1e-6, 0.8 at 1e-8)
         _Row("h", float, 1e-2, "[1e-6, 1]")),
     "solve": _FAMILY + (
-        _EPS._replace(domain="(0, inf)"), _Row("points", int, 17, "[3, inf)"),
+        _EPS._replace(domain="(0, 1e3]"), _Row("points", int, 17, "[3, inf)"),
         # the residual stalls above 1e-10 below 1e-3; at 1e-300 the fit is singular
         _Row("half_width", float, 1.0, "[1e-3, 1e3]"),
         # `default_init` leaves a residual near 1; above 1e-3 a solve stops early
@@ -384,6 +388,13 @@ def _cmd_viscosity(s: dict) -> int:
     return 0
 
 
+# a fault of the settings rather than of a check: a setting outside its
+# domain, a grid above its cap, and the cross-setting checks the tables
+# cannot make, a point or base that does not fit the family and dim, and a
+# family without the closed form the command needs
+_INPUT_ERRORS = (ConfigError, GridTooLarge, DimensionMismatch, BasePointOffSingularSet,
+                 UnsupportedFamily)
+
 _COMMANDS = {"verify": _cmd_verify, "hessian": _cmd_hessian, "solve": _cmd_solve,
              "probe": _cmd_probe, "moser": _cmd_moser, "viscosity": _cmd_viscosity}
 
@@ -417,13 +428,13 @@ def main(argv=None) -> int:
                               f"config={args.config or '-'}")
         try:
             code = _COMMANDS[args.subcommand](settings)
-        except (ConfigError, GridTooLarge):
+        except _INPUT_ERRORS:
             raise
         except CmaLabError as exc:   # a library check failed
             print(f"check failed: {exc}", file=sys.stderr)
             code = _fail(settings["out"], getattr(exc, "invariant", f"no {type(exc).__name__}"),
                          str(exc))
-    except (ConfigError, GridTooLarge, OSError, ValueError, KeyError) as exc:
+    except _INPUT_ERRORS + (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     if "out" in settings:

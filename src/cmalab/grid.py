@@ -118,15 +118,6 @@ class GridDomain:
         return np.stack(np.broadcast_arrays(*self.open_grid()), axis=-1).reshape(
             self.num_nodes, self.center.size)
 
-    def excluded_mask(self) -> np.ndarray:
-        """Boolean array over the grid, True where a node is excluded from integrals."""
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.excluded_tube_radius > 0:
-            grid = self.open_grid()   # r2 spans the singular axes only
-            r2 = sum(grid[a] ** 2 for a in self.singular_axes)
-            mask |= r2 < self.excluded_tube_radius**2
-        return mask
-
 
 @dataclass(frozen=True)
 class GridField:
@@ -170,18 +161,25 @@ def _interior_view(u, shift):
                    for a, s in enumerate(u.shape))]
 
 
-def _second_diff(u, axis, h):
-    """Central second difference along axis, over the interior of u."""
-    return (_interior_view(u, {axis: 1}) - 2.0 * _interior_view(u, {})
-            + _interior_view(u, {axis: -1})) / (h * h)
+def _second_diff(u, axis, h, out=None):
+    """Central second difference along axis, over the interior of u, into
+    out if given."""
+    out = np.multiply(_interior_view(u, {}), 2.0, out=out)
+    np.subtract(_interior_view(u, {axis: 1}), out, out=out)
+    np.add(out, _interior_view(u, {axis: -1}), out=out)
+    return np.divide(out, h * h, out=out)
 
 
-def _cross_diff(u, ax1, ax2, h1, h2):
-    """Four-point mixed difference in axes ax1 != ax2, over the interior of u."""
+def _cross_diff(u, ax1, ax2, h1, h2, out=None):
+    """Four-point mixed difference in axes ax1 != ax2, over the interior of
+    u, into out if given."""
     def view(o1, o2):
         return _interior_view(u, {ax1: o1, ax2: o2})
 
-    return (view(1, 1) - view(1, -1) - view(-1, 1) + view(-1, -1)) / (4.0 * h1 * h2)
+    out = np.subtract(view(1, 1), view(1, -1), out=out)
+    np.subtract(out, view(-1, 1), out=out)
+    np.add(out, view(-1, -1), out=out)
+    return np.divide(out, 4.0 * h1 * h2, out=out)
 
 
 def real_hessian_fd(u: GridField, at) -> np.ndarray:
@@ -226,10 +224,11 @@ def complex_laplacian_fd(u: GridField) -> GridField:
     h = u.domain.spacings
     core = tuple(slice(1, -1) for _ in shape)
     acc = np.zeros(tuple(s - 2 for s in shape))
+    d2 = np.empty_like(acc)
     for a in range(len(shape)):
-        acc += _second_diff(u.values, a, h[a])
+        acc += _second_diff(u.values, a, h[a], d2)
     out = np.zeros(shape)
-    out[core] = 0.25 * acc
+    np.multiply(acc, 0.25, out=out[core])
     return GridField(u.domain, out)
 
 
@@ -242,14 +241,17 @@ def second_derivative_magnitude(u: GridField) -> GridField:
     m = len(shape)
     core = tuple(slice(1, -1) for _ in shape)
     acc = np.zeros(tuple(s - 2 for s in shape))
+    d2 = np.empty_like(acc)
+    sq = np.empty_like(acc)
     for a in range(m):
-        d2 = _second_diff(u.values, a, h[a])
-        acc += d2 * d2
+        _second_diff(u.values, a, h[a], d2)
+        acc += np.multiply(d2, d2, out=sq)
         for b in range(a + 1, m):
-            d2 = _cross_diff(u.values, a, b, h[a], h[b])
-            acc += 2.0 * d2 * d2
+            _cross_diff(u.values, a, b, h[a], h[b], d2)
+            np.multiply(d2, 2.0, out=sq)    # (2 d2) d2, in that order
+            acc += np.multiply(sq, d2, out=sq)
     out = np.zeros(shape)
-    out[core] = np.sqrt(acc)
+    np.sqrt(acc, out=out[core])
     return GridField(u.domain, out)
 
 

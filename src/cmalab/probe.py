@@ -107,26 +107,40 @@ def _scan_domain(f: SolutionFamily, points_singular: int) -> GridDomain:
                       excluded_tube_radius=2.0 * h, singular_axes=singular_axes)
 
 
-def _mass_terms(field):
-    """|field| and the trapezoid weights of its integral, both zero on the
-    boundary ring and in the excluded tube, so that sum(|field|^p * weights)
-    is the integral of |field|^p for every p > 0.  The ring next to the
-    boundary gets half weight, so the quadrature covers a fixed box
-    independent of h."""
-    dom = field.domain
-    w = 1.0   # grows by broadcasting to the full grid at the last axis
-    for a, (cnt, h) in enumerate(zip(dom.shape, dom.spacings)):
-        wa = np.full(cnt, h)
-        wa[0] = wa[-1] = 0.0
-        wa[1] = wa[-2] = 0.5 * h
-        shape = [1] * len(dom.shape)
-        shape[a] = cnt
-        w = w * wa.reshape(shape)
-    w[dom.excluded_mask()] = 0.0
+def _interior_weights(dom: GridDomain) -> np.ndarray:
+    """Trapezoid weights of the scan integrals on the interior nodes of dom.
+
+    The boundary ring carries no weight, the ring next to it half weight,
+    so the quadrature covers a fixed box independent of h; the excluded
+    tube carries none either."""
+    inner = np.ix_(*[dom.axis_coords(a)[1:-1] for a in range(len(dom.shape))])
+    w = 1.0   # grows by broadcasting to the interior at the last axis
+    for a, h in enumerate(dom.spacings):
+        wa = np.full(inner[a].shape, h)
+        wa.flat[0] = wa.flat[-1] = 0.5 * h
+        w = w * wa
+    r2 = sum(inner[a] ** 2 for a in dom.singular_axes)
+    w[np.broadcast_to(r2 < dom.excluded_tube_radius ** 2, w.shape)] = 0.0
+    return w
+
+
+def _masses(field, p_list) -> list:
+    """sum(|field|^p * weights) over the interior, the integral of |field|^p,
+    for each p > 0.  A node of zero weight adds 0 whatever |field| is there.
+    Each |field|^p * weights goes into the interior of one zero-filled
+    full-grid buffer, so that np.sum adds the same values in the same order
+    as over a full-grid integrand that is zero off the weighted nodes."""
+    w = _interior_weights(field.domain)
+    core = tuple(slice(1, -1) for _ in w.shape)
     # the weight is positive everywhere else, so |field| is kept exactly there
-    magnitude = np.abs(field.values)
+    magnitude = np.abs(field.values[core])
     magnitude[w == 0.0] = 0.0
-    return magnitude, w
+    integrand = np.zeros(field.domain.shape)
+    masses = []
+    for p in p_list:
+        np.multiply(magnitude ** p, w, out=integrand[core])
+        masses.append(np.sum(integrand))
+    return masses
 
 
 def _refinement_masses(f: SolutionFamily, points_singular: int, p_list,
@@ -134,13 +148,7 @@ def _refinement_masses(f: SolutionFamily, points_singular: int, p_list,
     """The integral of |observable|^p on one scan grid, for each p."""
     dom = _scan_domain(f, points_singular)
     observable = complex_laplacian_fd if use_laplacian else second_derivative_magnitude
-    magnitude, weights = _mass_terms(observable(sample(dom, f.value)))
-    masses = []
-    for p in p_list:
-        integrand = magnitude ** p
-        integrand *= weights
-        masses.append(np.sum(integrand))
-    return masses
+    return _masses(observable(sample(dom, f.value)), p_list)
 
 
 def _verdict(slope: float) -> str:

@@ -200,21 +200,39 @@ def _batched_witnesses(dx, target, const, grads, sym_hessians):
     """max over the rows of dx of target - q_k for every jet q_k with the
     given gradient and Hessian H + H^T (halved by symmetrization, as
     QuadraticJet does), and for each a bound on its gap to the value
-    QuadraticJet.__call__ gives.  One product (dx outer dx) @ Hessians
-    per block of jets replaces a three-operand einsum per jet."""
+    QuadraticJet.__call__ gives.
+
+    With H the symmetrized Hessian, q_k - const is one matrix product per
+    block of jets: the features [dx_a dx_b for a <= b | dx] against the
+    coefficients [H_aa / 2 on the diagonal, H_ab above it | grad], K =
+    dim (dim + 3) / 2 columns each.  Then target - const - product, and
+    the maximum over the rows.
+
+    The bound, with u = eps / 2, a = max |dx| and
+    size = max |target| + |const| + a |g|_1 + a^2 |H|_1 / 2: each term of
+    QuadraticJet's value passes at most dim^2 + 3 roundings (two in its
+    product, dim^2 - 1 in the einsum's sum, one adding it to the rest, one
+    subtracting from target); each term here at most K + 2 (the feature,
+    its product with a coefficient, K - 1 in the matrix product's sum in
+    any order, the subtraction).  So the two values differ by less than
+    (dim^2 + K + 6) u size, and `slack` is four times that.
+    """
     count, dim = grads.shape
-    hess = 0.5 * (sym_hessians + sym_hessians.transpose(0, 2, 1))
-    outer = (dx[:, :, None] * dx[:, None, :]).reshape(dx.shape[0], dim * dim)
+    rows, cols = np.triu_indices(dim)
+    # 1/2 dx^T H dx = sum over a <= b of c_ab dx_a dx_b, c_aa = H_aa / 2, c_ab = H_ab
+    upper = 0.5 * (sym_hessians[:, rows, cols] + sym_hessians[:, cols, rows])
+    coef = np.concatenate([np.where(rows == cols, 0.5, 1.0) * upper, grads], axis=1)
+    features = np.concatenate([dx[:, rows] * dx[:, cols], dx], axis=1)
+    shifted = target - const
     witness = np.empty(count)
     for lo in range(0, count, _JET_BLOCK):
         hi = min(lo + _JET_BLOCK, count)
-        quad = outer @ hess[lo:hi].reshape(hi - lo, dim * dim).T
-        q = const + dx @ grads[lo:hi].T + 0.5 * quad
-        witness[lo:hi] = np.max(target[:, None] - q, axis=0)
-    # both evaluations round sums of at most dim^2 + 4 terms bounded by
-    # |target| + |const| + a |g|_1 + a^2 |H|_1 / 2, a = max |dx|
+        diff = features @ coef[lo:hi].T
+        np.subtract(shifted[:, None], diff, out=diff)
+        np.max(diff, axis=0, out=witness[lo:hi])
+    # a^2 |H|_1 / 2 + a |g|_1: each |coefficient| times a^2 or a
     a = float(np.max(np.abs(dx)))
-    size = (float(np.max(np.abs(target))) + abs(const) + a * np.sum(np.abs(grads), axis=1)
-            + 0.5 * a * a * np.sum(np.abs(hess), axis=(1, 2)))
-    slack = 4.0 * (dim * dim + 4) * np.finfo(float).eps * size
+    size = (float(np.max(np.abs(target))) + abs(const)
+            + np.abs(coef) @ np.where(np.arange(coef.shape[1]) < rows.size, a * a, a))
+    slack = 2.0 * (dim * dim + coef.shape[1] + 6) * np.finfo(float).eps * size
     return witness, slack

@@ -292,7 +292,7 @@ def test_run_log_names_threads_and_kernels(tmp_path, monkeypatch, capsys):
 def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
     out = str(tmp_path)
     assert main(["solve", "--out", out, "--eps", eps, "--points", "5"]) == 2
-    assert "eps must be a finite number in (0, inf)" in capsys.readouterr().err
+    assert "eps must be a finite number in (0, 1e3]" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "failure.json"))
 
 
@@ -375,6 +375,18 @@ def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
                  id="solve-half-width-1e-300"),
     pytest.param(["verify", "--points", "10", "--seed", "-1"],
                  "seed must be an integer in [0, inf)", "verify.json", id="verify-seed--1"),
+    # cross-setting checks: the base or point against the family and dim
+    pytest.param(["viscosity", "--attempts", "5", "--base", "0,0,0.5,0"],
+                 "base point must lie on {w = 0}", "viscosity.json",
+                 id="viscosity-base-off-singular-set"),
+    pytest.param(["hessian", "--point", "0.1,0.2"],
+                 "expected 4 real coordinates, got 2", "hessian.json",
+                 id="hessian-point-dimension-mismatch"),
+    pytest.param(["verify", "--points", "10", "--family", "theorem_v"],
+                 "theorem_v has no closed-form complex Hessian", "verify.json",
+                 id="verify-family-without-closed-form"),
+    pytest.param(["solve", "--eps", "1", "--points", "5", "--family", "blocki", "--dim", "3"],
+                 "blocki has no closed-form rhs", "report.json", id="solve-family-without-rhs"),
 ])
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
     # a config error: exit 2, logged, and neither the command's output nor

@@ -43,14 +43,6 @@ def test_domain_needs_a_width_and_count_per_axis():
         GridDomain(np.zeros(4), np.ones(4), 5)
 
 
-def test_excluded_tube():
-    dom = box(9, excluded_tube_radius=0.3)
-    mask = dom.excluded_mask()
-    coords = dom.node_coords_flat()
-    wmod = np.hypot(coords[:, -2], coords[:, -1])
-    assert np.array_equal(mask.ravel(), wmod < 0.3)
-
-
 def test_sample_rejects_nonfinite_outside_tube():
     dom = box(9)
 

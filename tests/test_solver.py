@@ -650,10 +650,12 @@ def test_float32_dst_workers_do_not_change_result():
 
 
 def test_cli_import_leaves_out_scipy():
-    # scipy.sparse.linalg loads on the first Newton solve, not at start-up,
-    # and no scipy module (scipy.fft included) loads with the CLI
-    code = ("import sys, cmalab, cmalab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # scipy.sparse.linalg loads on the first Newton solve, not at start-up:
+    # importing the CLI adds the standard library, numpy and cmalab only,
+    # against the modules loaded before it (site hooks load some first)
+    code = ("import sys; before = set(sys.modules); import cmalab, cmalab.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'numpy', 'cmalab'}))")
     assert _child(code).strip() == "[]"
 
 

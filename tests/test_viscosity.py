@@ -199,18 +199,24 @@ def test_search_touch_above_trusts_batched_values_only_outside_the_slack(monkeyp
 
 
 def test_batched_witness_slack_covers_the_jet_value():
+    # the search's draws: Hessian scales 1e-1 to 1e6, gradient scales 1e-2 to 10
     rng = np.random.default_rng(5)
-    u0 = SolutionFamily("pogorelov_n", 3, 0.0)
-    p0 = np.array([0.2, -0.1, 0.0, 0.3, 0.0, 0.0])
-    scan = viscosity._w_axis_scan(p0, 0.1)
-    target = eval_value(u0, scan)
-    grads = rng.normal(size=(50, 6))
-    sym = rng.normal(size=(50, 6, 6)) * 1e5
-    sym = sym + sym.transpose(0, 2, 1)
-    witness, slack = viscosity._batched_witnesses(scan - p0, target, 0.0, grads, sym)
-    for k in range(50):
-        q = QuadraticJet(p0, 0.0, grads[k], sym[k])
-        assert abs(witness[k] - np.max(target - q(scan))) <= slack[k]
+    count = 200
+    for kind, dim, p0 in (("pogorelov2", 2, [0.2, -0.1, 0.0, 0.0]),
+                          ("pogorelov_n", 3, [0.2, -0.1, 0.0, 0.3, 0.0, 0.0])):
+        u0 = SolutionFamily(kind, dim, 0.0)
+        p0 = np.array(p0)
+        scan = viscosity._w_axis_scan(p0, 0.1)
+        target = eval_value(u0, scan)
+        value = eval_value(u0, p0)
+        grads = rng.normal(size=(count, 2 * dim)) * 10.0 ** rng.uniform(-2.0, 1.0, (count, 1))
+        scales = 10.0 ** rng.uniform(-1.0, 6.0, (count, 1, 1))
+        sym = rng.normal(size=(count, 2 * dim, 2 * dim)) * scales
+        sym = sym + sym.transpose(0, 2, 1)
+        witness, slack = viscosity._batched_witnesses(scan - p0, target, value, grads, sym)
+        for k in range(count):
+            q = QuadraticJet(p0, value, grads[k], sym[k])
+            assert abs(witness[k] - np.max(target - q(scan))) <= slack[k]
 
 
 def test_search_touch_above_rejects_negative_attempts():
