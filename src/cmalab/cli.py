@@ -11,9 +11,10 @@ sidecar run.log.
 Exit codes: 0 all checks pass; 1 a mathematical or library check failed,
 and failure.json names the invariant, "finite outputs" for an output
 that would hold a NaN or an infinity (it is not written); 2 a setting
-outside its domain, a point or base that does not fit the family and dim,
-a family without the closed form the command needs, a grid above its
-node cap (`--max-nodes` for solve) or another configuration or IO error.
+outside its domain or a required one left out, a point or base that
+does not fit the family and dim, a family without the closed form the
+command needs, a grid above its node cap (`--max-nodes` for solve), a
+size that runs out of memory, or another configuration or IO error.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ class _Row(NamedTuple):
     """One setting.  `kind` is int, float, bool, str or list (of floats).
     `domain` is an interval, as "[0, 1)" (0 in, 1 out), holding each number
     of the setting; a tuple of the admitted strings; or None (a path, or
-    either bool).  A callable default is computed from the earlier rows."""
+    either bool).  A callable default is computed from the earlier rows;
+    a default of None makes the setting required."""
 
     key: str
     kind: type
@@ -189,7 +191,7 @@ _TABLES = {
         # rounding swamps the stencil below 1e-6 (gap 2e-4 at 1e-6, 0.8 at 1e-8)
         _Row("h", float, 1e-2, "[1e-6, 1]")),
     "solve": _FAMILY + (
-        _EPS._replace(domain="(0, 1e3]"), _Row("points", int, 17, "[3, inf)"),
+        _EPS._replace(default=None, domain="(0, 1e3]"), _Row("points", int, 17, "[3, inf)"),
         # the residual stalls above 1e-10 below 1e-3; at 1e-300 the fit is singular
         _Row("half_width", float, 1.0, "[1e-3, 1e3]"),
         # `default_init` leaves a residual near 1; above 1e-3 a solve stops early
@@ -221,11 +223,15 @@ def _resolve(rows, flags: dict, config: dict, settings: dict) -> None:
     for row in rows:
         flag = flags.get(row.key)
         value = config.get(row.key, row.default) if flag is None else flag
+        if value is None and row.key not in config:
+            raise ConfigError(f"{row.key} is required: {_describe(row)}")
         settings[row.key] = _checked(row, value(settings) if callable(value) else value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     def text(row):   # a callable default's docstring says what it computes
+        if row.default is None:
+            return f"{_describe(row)}; required"
         default = row.default.__doc__ if callable(row.default) else repr(row.default)
         return f"{_describe(row)}; default {default}"
 
@@ -436,6 +442,9 @@ def main(argv=None) -> int:
                          str(exc))
     except _INPUT_ERRORS + (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError as exc:   # a size setting beyond the memory of this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         code = 2
     if "out" in settings:
         try:

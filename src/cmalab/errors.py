@@ -27,7 +27,7 @@ class BoundaryNode(CmaLabError):
 
 
 class NonFiniteSample(CmaLabError):
-    """Sampled function returned a non-finite value outside the excluded set."""
+    """A grid field holds a non-finite value, inside the excluded tube too."""
 
     def __init__(self, node, value):
         self.node = node

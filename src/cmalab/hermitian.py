@@ -31,7 +31,7 @@ class HermitianForm:
         a = np.asarray(entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        # finite-difference Hessians carry O(h^2) asymmetry; average it away
+        # the form takes any caller's matrix, so keep only its Hermitian part
         a = 0.5 * (a + a.conj().T)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)

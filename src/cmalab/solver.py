@@ -25,13 +25,18 @@ Their outputs are interior arrays the solver owns.  The n >= 3 guard is
 "smallest eigenvalue > guard", checked at each node on the pivots of
 H - guard I.
 
-`scipy.sparse.linalg` is imported inside `newton_solve` and
-`_interior_linop`, the only code that uses it, so it loads on the first
-Newton solve only.  Importing cmalab, and every check that never
-solves, skips its 0.28-0.33 s import: `import cmalab.cli` takes
-0.17-0.26 s instead of 0.39-0.61 s (`python3 -X importtime`, 2-core
-VM).  `spla.bicgstab` and `spla.LinearOperator` are looked up on that
-module at call time, so patching them there still reaches the solver.
+`newton_solve` works in one layout.  BiCGStab's vectors cover the
+interior; the matvec writes each into the interior of one zero-ring
+buffer that the solve owns and applies the operator to it, and a line
+search candidate is a copy of the iterate with the scaled step added on
+the interior.  Its work goes into one record of per-step lists, which
+the result and the partial result of every failure carry.
+
+`scipy.sparse.linalg` is imported inside `newton_solve`, the only code
+that uses it, so it loads on the first Newton solve, not with the
+package.  `spla.bicgstab` and `spla.LinearOperator` are looked up on
+that module at call time, so patching them there still reaches the
+solver.
 """
 
 from __future__ import annotations
@@ -240,21 +245,6 @@ class _DstPreconditioner:
         return out
 
 
-def _interior_linop(op: WirtingerOperator):
-    import scipy.sparse.linalg as spla  # on first use only: see the module docstring
-    shape = op.domain.shape
-    core = _interior(shape)
-    m = int(np.prod([s - 2 for s in shape]))
-    buf = np.zeros(shape)
-
-    def mv(x):
-        buf[core] = x.reshape(tuple(s - 2 for s in shape))
-        out = op.apply(buf)
-        return -out[core].ravel()  # negated: makes the operator positive
-
-    return spla.LinearOperator((m, m), matvec=mv, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # initialization and Newton iteration
 
@@ -399,24 +389,25 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     """Damped Newton on the log-det residual.
 
     Each Newton step solves its linearization with BiCGStab to the
-    relative tolerance `_forcing` sets.  Returns solution, iterations,
-    final_residual, residual history, and per outer iteration the
-    inner-iteration count (BiCGStab callbacks), the BiCGStab info code
-    (nonzero: the inner solve stopped short of its tolerance, yet its
-    finite step was used), `psolves`, the preconditioner-solve count,
-    and per accepted line search `halvings`, its step halvings, of which
+    relative tolerance `_forcing` sets.  The solve keeps one record:
+    iterations, final_residual, residual_history, and per outer iteration
+    `inner_iterations` (BiCGStab callbacks), `inner_info`, the BiCGStab
+    info code (nonzero: the inner solve stopped short of its tolerance,
+    yet its finite step was used), `psolves`, the preconditioner-solve
+    count, and per line search `halvings`, its step halvings, of which
     `psh_rejects` rejected a candidate that was not plurisubharmonic.
-    Raises NonConverged (carrying the best iterate) if max_iters is
-    exhausted above tolerance.  When the inner solve fails, NonConverged
-    carries the partial result: reason, iterations, final_residual and
-    the per-iteration lists so far; when the line search finds no step,
-    the NotPlurisubharmonic raised carries the same as its `result`,
-    with that search's halvings and rejections last.
+    Returns the record with the solution.  Raises NonConverged carrying
+    the record with the best iterate if max_iters is exhausted above
+    tolerance.  A failure on the way carries the record so far with its
+    `reason`: NonConverged when the inner solve fails, the
+    NotPlurisubharmonic raised as its `result` when the line search finds
+    no step, with that search's halvings and rejections last.
     """
     import scipy.sparse.linalg as spla  # on first use only: see the module docstring
     dom = prob.domain
     shape = dom.shape
     core = _interior(shape)
+    inner = tuple(s - 2 for s in shape)
     if init is None:
         init = default_init(prob, cfg.psd_guard)
     u = prob.boundary.values.copy()   # Dirichlet data exact at every iterate
@@ -425,58 +416,52 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     res = residual(cur, prob, cfg.psd_guard)
     res_norm = float(np.max(np.abs(res.values)))
     history = [res_norm]
-    inner_counts = []
-    inner_info = []
-    psolves = []
-    halvings = []
-    psh_rejects = []
-    iterations = 0
+    record = {"iterations": 0, "final_residual": res_norm, "residual_history": history,
+              "inner_iterations": [], "inner_info": [], "psolves": [], "halvings": [],
+              "psh_rejects": []}
+    buf = np.zeros(shape)   # the Krylov vector on the interior, a zero ring round it
 
-    def partial_result(reason):
-        return {"reason": reason, "iterations": iterations,
-                "final_residual": res_norm, "inner_info": inner_info,
-                "psolves": psolves, "halvings": halvings,
-                "psh_rejects": psh_rejects}
+    def matvec(x):
+        buf[core] = x.reshape(inner)
+        return -op.apply(buf)[core].ravel()  # negated: makes the operator positive
 
+    def psolve(r):
+        record["psolves"][-1] += 1
+        return pre.solve(r)
+
+    def callback(_):
+        record["inner_iterations"][-1] += 1
+
+    # an explicit dtype spares LinearOperator its probing call
+    m = buf[core].size
+    A = spla.LinearOperator((m, m), matvec=matvec, dtype=np.float64)
+    M = spla.LinearOperator((m, m), matvec=psolve, dtype=np.float64)
     for _ in range(cfg.max_iters):
         if res_norm <= cfg.tol_residual:
             break
-        iterations += 1
+        record["iterations"] += 1
         op = assemble_linearization(cur, cfg.psd_guard)
         pre = _DstPreconditioner(dom, op.mean_diagonal(), dtype=np.float32)
-        A = _interior_linop(op)
-        psolve_count = [0]
-
-        def psolve(r):
-            psolve_count[0] += 1
-            return pre.solve(r)
-
-        # an explicit dtype spares LinearOperator its probing call
-        M = spla.LinearOperator(A.shape, matvec=psolve, dtype=np.float64)
         b = res.values[core].ravel()  # solve -L d = -res, i.e. A d = res
-        prev_norm = history[-2] if len(history) > 1 else None
-        eta = _forcing(res_norm, prev_norm, cfg.tol_residual)
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-
+        eta = _forcing(res_norm, history[-2] if len(history) > 1 else None,
+                       cfg.tol_residual)
+        record["inner_iterations"].append(0)
+        record["psolves"].append(0)
         d, info = spla.bicgstab(A, b, rtol=eta, atol=0.0, M=M,
-                                maxiter=_INNER_MAXITER, callback=cb)
+                                maxiter=_INNER_MAXITER, callback=callback)
         # free this operator before the line search and the next assembly
-        del op, pre, A, M
-        inner_counts.append(count[0])
-        inner_info.append(int(info))
-        psolves.append(psolve_count[0])
+        del op, pre
+        record["inner_info"].append(int(info))
         if info != 0 and not np.all(np.isfinite(d)):
-            raise NonConverged(partial_result("inner solve failed"))
-        step = np.zeros(shape)
-        step[core] = d.reshape(tuple(s - 2 for s in shape))
+            raise NonConverged({"reason": "inner solve failed", **record})
+        d = d.reshape(inner)
         alpha = 1.0
         accepted = None
         halved = rejected = 0
         while alpha >= cfg.min_step:
-            cand = GridField(dom, u + alpha * step)
+            vals = u.copy()
+            vals[core] += alpha * d
+            cand = GridField(dom, vals)
             try:
                 cand_res = residual(cand, prob, cfg.psd_guard)
             except NotPlurisubharmonic:
@@ -488,26 +473,17 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
                     break
             alpha *= 0.5
             halved += 1
-        halvings.append(halved)
-        psh_rejects.append(rejected)
+        record["halvings"].append(halved)
+        record["psh_rejects"].append(rejected)
         if accepted is None:
             raise NotPlurisubharmonic(
                 "line search found no feasible decreasing step",
-                result=partial_result("line search failed"))
+                result={"reason": "line search failed", **record})
         cur, res, res_norm = accepted
         u = cur.values
         history.append(res_norm)
-    result = {
-        "solution": cur,
-        "iterations": iterations,
-        "final_residual": res_norm,
-        "residual_history": history,
-        "inner_iterations": inner_counts,
-        "inner_info": inner_info,
-        "psolves": psolves,
-        "halvings": halvings,
-        "psh_rejects": psh_rejects,
-    }
+        record["final_residual"] = res_norm
+    result = {"solution": cur, **record}
     if res_norm > cfg.tol_residual:
         raise NonConverged(result)
     return result

@@ -56,6 +56,7 @@ def test_bad_config_exits_2(tmp_path):
     (["solve", "--points", "9"], {"threads": True}, "threads"),
     (["verify"], {"points": True}, "points"),
     (["verify"], [1], "config"),
+    (["verify"], {"seed": None}, "seed must be"),
 ])
 def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
                                             argv, config, key):
@@ -387,6 +388,10 @@ def test_non_finite_eps_exits_2(tmp_path, capsys, eps):
                  id="verify-family-without-closed-form"),
     pytest.param(["solve", "--eps", "1", "--points", "5", "--family", "blocki", "--dim", "3"],
                  "blocki has no closed-form rhs", "report.json", id="solve-family-without-rhs"),
+    pytest.param(["solve", "--points", "9"], "error: eps is required: a finite number in "
+                 "(0, 1e3]", "report.json", id="solve-eps-missing"),
+    pytest.param(["hessian"], "error: point is required: a list of finite numbers",
+                 "hessian.json", id="hessian-point-missing"),
 ])
 def test_out_of_range_input_exits_2(tmp_path, capsys, argv, message, output):
     # a config error: exit 2, logged, and neither the command's output nor
@@ -471,6 +476,34 @@ def test_help_lists_every_domain(capsys, command):
     for row in cli._COMMON + cli._TABLES[command]:
         name = "--" + row.key.replace("_", "-") if row.flag else row.key + ":"
         assert f"{name} " in text and cli._describe(row) in text, row.key
+        # a default of None marks a required setting
+        tail = "required" if row.default is None else "default "
+        assert f"{cli._describe(row)}; {tail}" in text, row.key
+
+
+@pytest.mark.parametrize("command", sorted(cli._TABLES))
+def test_every_default_is_required_or_in_its_domain(command):
+    # None marks a required setting; every other default, a computed one
+    # too, is a value of the row's own domain (_checked raises otherwise)
+    settings = {}
+    for row in cli._COMMON + cli._TABLES[command]:
+        default = row.default(settings) if callable(row.default) else row.default
+        if default is not None:
+            settings[row.key] = cli._checked(row, default)
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # a size setting beyond the machine's memory is a fault of the
+    # settings; the command is stubbed, so no large array is asked for
+    def exhausted(settings):
+        raise MemoryError("Unable to allocate 119. GiB")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", exhausted)
+    assert main(["verify", "--points", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 119. GiB\n"
+    assert os.listdir(tmp_path) == ["run.log"]
+    with open(tmp_path / "run.log") as f:
+        assert f.read().splitlines()[-1].endswith(" exit=2")
 
 
 def test_library_check_failure_writes_failure(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import scipy.fft as sfft
 import scipy.sparse.linalg as spla
 
 from cmalab import kernels, solver
-from cmalab.errors import NotPlurisubharmonic
+from cmalab.errors import NonConverged, NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, _second_diff, sample
 from cmalab.kernels import fallback
@@ -783,3 +783,56 @@ def test_inner_info_reports_short_inner_solves(monkeypatch):
     out = newton_solve(prob, NewtonConfig(tol_residual=1e-10))
     assert out["final_residual"] <= 1e-10
     assert out["inner_info"] == [1] * out["iterations"]
+
+
+def _nan_bicgstab(A, b, **kwargs):
+    return np.full_like(b, np.nan), 1
+
+
+@pytest.mark.parametrize("reason, cfg, bicgstab, raised, searches, accepted", [
+    ("inner solve failed", NewtonConfig(), _nan_bicgstab, NonConverged, 0, 0),
+    # alpha = 1 is below the step floor: the search runs and tries nothing
+    ("line search failed", NewtonConfig(min_step=2.0), None, NotPlurisubharmonic, 1, 0),
+    (None, NewtonConfig(max_iters=1, tol_residual=1e-12), None, NonConverged, 1, 1),
+], ids=["inner-solve", "line-search", "iteration-limit"])
+def test_every_failure_carries_the_whole_record(monkeypatch, reason, cfg, bicgstab,
+                                                raised, searches, accepted):
+    if bicgstab is not None:
+        monkeypatch.setattr(spla, "bicgstab", bicgstab)
+    prob, _ = manufactured(9)
+    with pytest.raises(raised) as info:
+        newton_solve(prob, cfg)
+    result = info.value.result
+    assert result.get("reason") == reason
+    assert result["iterations"] == 1
+    for key in ("inner_iterations", "inner_info", "psolves"):
+        assert len(result[key]) == 1, key
+    assert len(result["halvings"]) == len(result["psh_rejects"]) == searches
+    assert len(result["residual_history"]) == accepted + 1
+    assert result["final_residual"] == result["residual_history"][-1]
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+@pytest.mark.parametrize("workload, kind, n, points", [
+    ("solve-c2", "pogorelov2", 2, 9), ("solve-c3", "pogorelov_n", 3, 7)])
+def test_traced_solve_fires_exactly_the_workload_spans(monkeypatch, workload, kind, n,
+                                                       points):
+    # a solve that calls around a traced attribute fails here, and not
+    # only in a traced benchmark run
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+    import workloads
+    # the problem is built untraced: sampling is set-up, not the solve
+    (_, prob, _, _), = workloads.SolveWorkload([(kind, n, 1.0, points)]).setup(1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        solver.newton_solve(prob, NewtonConfig(tol_residual=workloads.TOL,
+                                               max_iters=workloads.MAX_ITERS))
+    finally:
+        tracer.uninstall()
+    counts = tracing.span_counts(tracer.take())
+    assert tracing.check_coverage(counts, workloads.WORKLOADS[workload].active) == []
