@@ -322,10 +322,14 @@ def _cmd_solve(s: dict) -> int:
         out = newton_solve(prob, NewtonConfig(tol_residual=s["tol_residual"],
                                               max_iters=s["max_iters"]))
     except NonConverged as exc:
-        _log_inner_solves(out_dir, exc.result)
-        return _fail(out_dir, "newton residual below tolerance",
-                     {"final_residual": exc.result["final_residual"],
-                      "iterations": exc.result["iterations"]})
+        rec = exc.result
+        _log_inner_solves(out_dir, rec)
+        detail = {"final_residual": rec["final_residual"], "iterations": rec["iterations"]}
+        if rec.get("reason") == "inner solve failed":
+            return _fail(out_dir, "inner Krylov solve returned a finite direction",
+                         {**detail, "inner_info": rec["inner_info"],
+                          "inner_iterations": rec["inner_iterations"]})
+        return _fail(out_dir, "newton residual below tolerance", detail)
     except NotPlurisubharmonic as exc:
         if exc.result is not None:   # the line search found no step
             _log_inner_solves(out_dir, exc.result)

@@ -204,11 +204,9 @@ def wirtinger_from_real_hessian(H: np.ndarray) -> np.ndarray:
 
     Entry (i, j) = 1/4 [ (H_{x_i x_j} + H_{y_i y_j}) + i (H_{x_i y_j} - H_{y_i x_j}) ].
     """
-    n = H.shape[0] // 2
-    xi = np.arange(n) * 2
-    yi = xi + 1
-    re = H[np.ix_(xi, xi)] + H[np.ix_(yi, yi)]
-    im = H[np.ix_(xi, yi)] - H[np.ix_(yi, xi)]
+    # x_i and y_i are the even and odd real coordinates
+    re = H[0::2, 0::2] + H[1::2, 1::2]
+    im = H[0::2, 1::2] - H[1::2, 0::2]
     return 0.25 * (re + 1j * im)
 
 

@@ -36,10 +36,6 @@ class HermitianForm:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def herm_det(h: HermitianForm) -> float:
     """Determinant of a Hermitian matrix; the imaginary residue is discarded."""

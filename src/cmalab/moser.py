@@ -18,7 +18,7 @@ from .errors import IdentityViolated
 
 __all__ = [
     "MoserParams", "p_sequence", "critical_exponent", "b_term", "b_product",
-    "b_limit", "a_coefficient", "log_a_partial_sums",
+    "a_coefficient", "log_a_partial_sums",
     "random_third_order_samples", "third_order_check_batch",
 ]
 
@@ -89,10 +89,6 @@ def b_product(params: MoserParams, k: int) -> float:
     for i in range(1, k + 1):
         prod *= b_term(params, i)
     return prod
-
-
-def b_limit(params: MoserParams) -> float:
-    return params.p0 / params.a
 
 
 def a_coefficient(params: MoserParams, k: int, C: float = 1.0) -> float:

@@ -2,7 +2,11 @@
 
 The operator is G(X) = 1 - det(X) for PSD X and +infinity otherwise.
 Test functions are quadratic jets; touching is certified by dense
-sampling in a ball with a fixed margin.  The limit functions u0 of the
+sampling in a ball with a fixed margin.  Jets are evaluated on sample
+points as one matrix product against quadratic features of the points,
+with a rounding slack to the jet's own value (`_batched_witnesses`); the
+lower-jet ball is built once per family, base, radius, sample count and
+seed (`_lower_ball`).  The limit functions u0 of the
 pogorelov families grow like a cone |w|^alpha transversally to the
 slice, which defeats every C^2 jet from above; the search below looks
 for the corresponding witness along the w-plane through the base point.
@@ -10,7 +14,9 @@ for the corresponding witness along the w-plane through the base point.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,20 +109,60 @@ def _ball_points(p0: np.ndarray, radius: float, samples: int, rng) -> np.ndarray
     return p0 + x * r
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(dim: int):
+    """The pairs a <= b of `np.triu_indices(dim)` and the weight of each in
+    1/2 dx^T H dx: 1/2 on the diagonal, 1 above it; read-only."""
+    rows, cols = np.triu_indices(dim)
+    arrays = (rows, cols, np.where(rows == cols, 0.5, 1.0))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _jet_features(dx: np.ndarray) -> np.ndarray:
+    """[dx_a dx_b for a <= b | dx] for each row of dx, one column per row:
+    every jet's value minus its constant is one product of its
+    coefficients with these.  Each feature is one contiguous row."""
+    rows, cols, _ = _upper_pairs(dx.shape[1])
+    dx = dx.T
+    return np.concatenate([dx[rows] * dx[cols], dx])
+
+
+@functools.lru_cache(maxsize=4)
+def _lower_ball(u: SolutionFamily, base: bytes, radius: float, samples: int,
+                seed: int):
+    """The sampled ball of `check_touch_below` around the point with the
+    float bytes `base`, u0's values on it and its jet features, read-only."""
+    p0 = np.frombuffer(base)
+    pts = _ball_points(p0, radius, samples, np.random.default_rng(seed))
+    arrays = (pts, eval_value(u, pts), _jet_features(pts - p0))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def check_touch_below(u: SolutionFamily, q: QuadraticJet, radius: float,
                       samples: int = 10_000, seed: int = 0) -> dict:
     """Lower-jet test: if q touches u0 from below near the base point then
-    G of the jet's complex Hessian must be nonnegative."""
+    G of the jet's complex Hessian must be nonnegative.  The seed must be
+    an integer: the ball it draws is reused by later calls."""
     u = _limit_family(u)
     p0 = as_point(q.base)
     _check_base(u, p0)
     _check_radius(radius)
     if abs(q(p0) - eval_value(u, p0)) > 1e-12:
         raise ValueError("jet must match the function value at the base point")
-    rng = np.random.default_rng(seed)
-    pts = _ball_points(p0, radius, samples, rng)
-    gap = eval_value(u, pts) - q(pts)
-    touches = bool(np.min(gap) >= -TOUCH_MARGIN)
+    pts, ball_u, features = _lower_ball(u, p0.tobytes(), radius, samples,
+                                        operator.index(seed))
+    # min(u0 - q) = -max((-u0) - (-q)); negating every term is exact, so
+    # the batched value keeps its slack to the jet's own
+    top, slack = _batched_witnesses(features, -ball_u, -q.const,
+                                    -q.grad[None], -q.hess[None])
+    gap = -top[0]
+    if abs(gap + TOUCH_MARGIN) <= slack[0]:
+        gap = np.min(ball_u - q(pts))
+    touches = bool(gap >= -TOUCH_MARGIN)
     g_value = g_operator(complex_hessian_of_jet(q))
     verdict = bool(g_value >= -TOUCH_MARGIN) if touches else None
     return {"touches": touches, "g_value": g_value, "verdict": verdict}
@@ -168,7 +214,8 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
     def exact_witness(k):
         return float(np.max(scan_u - jet(k)(scan)))
 
-    witness, slack = _batched_witnesses(scan - p0, scan_u, value, grads, hessians)
+    witness, slack = _batched_witnesses(_jet_features(scan - p0), scan_u, value,
+                                        grads, hessians)
     # the batched max lies within `slack` of the jet's own; settle every
     # attempt that the difference could move across the 1e-12 cut
     for k in np.flatnonzero(np.abs(witness - 1e-12) <= slack):
@@ -196,17 +243,18 @@ def search_touch_above(u: SolutionFamily, p0, radius: float,
 _JET_BLOCK = 500
 
 
-def _batched_witnesses(dx, target, const, grads, sym_hessians):
-    """max over the rows of dx of target - q_k for every jet q_k with the
-    given gradient and Hessian H + H^T (halved by symmetrization, as
-    QuadraticJet does), and for each a bound on its gap to the value
-    QuadraticJet.__call__ gives.
+def _batched_witnesses(features, target, const, grads, sym_hessians):
+    """max over the points dx of target - q_k for every jet q_k with the
+    given constant, gradient and symmetric Hessian (such as H + H^T, which
+    QuadraticJet's symmetrization keeps exactly), and for each a bound on
+    its gap to the value QuadraticJet.__call__ gives.  `features` are
+    `_jet_features(dx)`.
 
-    With H the symmetrized Hessian, q_k - const is one matrix product per
-    block of jets: the features [dx_a dx_b for a <= b | dx] against the
-    coefficients [H_aa / 2 on the diagonal, H_ab above it | grad], K =
-    dim (dim + 3) / 2 columns each.  Then target - const - product, and
-    the maximum over the rows.
+    With H the Hessian, q_k - const is one matrix product per block of
+    jets: the coefficients [H_aa / 2 on the diagonal, H_ab above it | grad]
+    against the features [dx_a dx_b for a <= b | dx], K = dim (dim + 3) / 2
+    of each.  Then target - const - product, and the maximum over the
+    points.
 
     The bound, with u = eps / 2, a = max |dx| and
     size = max |target| + |const| + a |g|_1 + a^2 |H|_1 / 2: each term of
@@ -218,20 +266,19 @@ def _batched_witnesses(dx, target, const, grads, sym_hessians):
     (dim^2 + K + 6) u size, and `slack` is four times that.
     """
     count, dim = grads.shape
-    rows, cols = np.triu_indices(dim)
+    rows, cols, weight = _upper_pairs(dim)
     # 1/2 dx^T H dx = sum over a <= b of c_ab dx_a dx_b, c_aa = H_aa / 2, c_ab = H_ab
     upper = 0.5 * (sym_hessians[:, rows, cols] + sym_hessians[:, cols, rows])
-    coef = np.concatenate([np.where(rows == cols, 0.5, 1.0) * upper, grads], axis=1)
-    features = np.concatenate([dx[:, rows] * dx[:, cols], dx], axis=1)
+    coef = np.concatenate([weight * upper, grads], axis=1)
     shifted = target - const
     witness = np.empty(count)
     for lo in range(0, count, _JET_BLOCK):
         hi = min(lo + _JET_BLOCK, count)
-        diff = features @ coef[lo:hi].T
-        np.subtract(shifted[:, None], diff, out=diff)
-        np.max(diff, axis=0, out=witness[lo:hi])
+        diff = coef[lo:hi] @ features
+        np.subtract(shifted, diff, out=diff)
+        np.max(diff, axis=1, out=witness[lo:hi])
     # a^2 |H|_1 / 2 + a |g|_1: each |coefficient| times a^2 or a
-    a = float(np.max(np.abs(dx)))
+    a = float(np.max(np.abs(features[rows.size:])))
     size = (float(np.max(np.abs(target))) + abs(const)
             + np.abs(coef) @ np.where(np.arange(coef.shape[1]) < rows.size, a * a, a))
     slack = 2.0 * (dim * dim + coef.shape[1] + 6) * np.finfo(float).eps * size

@@ -164,9 +164,13 @@ def test_solve_inner_solve_failure_writes_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(spla, "bicgstab", broken_bicgstab)
     out = str(tmp_path)
     assert main(["solve", "--out", out, "--eps", "1", "--points", "9"]) == 1
-    detail = read_json(os.path.join(out, "failure.json"))["detail"]
+    failure = read_json(os.path.join(out, "failure.json"))
+    assert failure["invariant"] == "inner Krylov solve returned a finite direction"
+    detail = failure["detail"]
     assert detail["iterations"] == 1
     assert detail["final_residual"] > 0
+    assert detail["inner_info"] == [1]
+    assert detail["inner_iterations"] == [0]
     # the step that failed made no line search
     with open(os.path.join(out, "run.log")) as f:
         lines = [ln.split(" ", 1)[1] for ln in f.read().splitlines()]

@@ -10,7 +10,6 @@ from cmalab.hermitian import HermitianForm, herm_det, psd_report
 def test_construction_symmetrizes():
     h = HermitianForm([[1.0, 1.0 + 0.2j], [1.0, 2.0]])
     assert np.allclose(h.entries, h.entries.conj().T)
-    assert h.dim == 2
 
 
 def test_rejects_nonsquare():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmalab.errors import IdentityViolated
-from cmalab.moser import (MoserParams, a_coefficient, b_limit, b_product, b_term,
+from cmalab.moser import (MoserParams, a_coefficient, b_product, b_term,
                           critical_exponent, log_a_partial_sums, p_sequence,
                           random_third_order_samples, third_order_check_batch)
 
@@ -50,7 +50,7 @@ def test_b_terms_and_products():
     assert b_term(params, 1) == pytest.approx(4.0 / 3.0)
     prods = [b_product(params, k) for k in range(1, 40)]
     assert all(x < y for x, y in zip(prods, prods[1:]))
-    assert prods[-1] <= b_limit(params) + 1e-12
+    assert prods[-1] <= params.p0 / params.a + 1e-12
     assert abs(b_product(params, 60) - 2.0) < 1e-6
     assert abs(b_product(MoserParams(3, 3.0), 60) - 2.0) < 1e-6
 

@@ -213,10 +213,182 @@ def test_batched_witness_slack_covers_the_jet_value():
         scales = 10.0 ** rng.uniform(-1.0, 6.0, (count, 1, 1))
         sym = rng.normal(size=(count, 2 * dim, 2 * dim)) * scales
         sym = sym + sym.transpose(0, 2, 1)
-        witness, slack = viscosity._batched_witnesses(scan - p0, target, value, grads, sym)
+        witness, slack = viscosity._batched_witnesses(viscosity._jet_features(scan - p0),
+                                                      target, value, grads, sym)
         for k in range(count):
             q = QuadraticJet(p0, value, grads[k], sym[k])
             assert abs(witness[k] - np.max(target - q(scan))) <= slack[k]
+
+
+@pytest.fixture
+def fresh_ball():
+    # the lower-jet ball caches u0's values by family: a test that stands
+    # in for eval_value must not read or leave values of the real one
+    viscosity._lower_ball.cache_clear()
+    yield
+    viscosity._lower_ball.cache_clear()
+
+
+def reference_touch_below(u, q, radius, samples=10_000, seed=0):
+    """check_touch_below with a new ball and QuadraticJet's own values."""
+    p0 = np.asarray(q.base, dtype=float)
+    if abs(q(p0) - viscosity.eval_value(u, p0)) > 1e-12:
+        raise ValueError("jet must match the function value at the base point")
+    rng = np.random.default_rng(seed)
+    pts = viscosity._ball_points(p0, radius, samples, rng)
+    gap = viscosity.eval_value(u, pts) - q(pts)
+    touches = bool(np.min(gap) >= -viscosity.TOUCH_MARGIN)
+    g_value = g_operator(complex_hessian_of_jet(q))
+    verdict = bool(g_value >= -viscosity.TOUCH_MARGIN) if touches else None
+    return {"touches": touches, "g_value": g_value, "verdict": verdict}
+
+
+def workload_jets(seed, count=300):
+    # the shape of criterion 6's jets: concave, at the origin, no gradient
+    rng = np.random.default_rng(seed)
+    jets = []
+    for _ in range(count):
+        a = rng.normal(size=(4, 4))
+        jets.append(QuadraticJet(np.zeros(4), 0.0, np.zeros(4), -(a @ a.T)))
+    return jets
+
+
+def graded_jets(u, seed, count=100, spread=0.5):
+    # indefinite and concave Hessians with gradients, at bases spread about the origin
+    rng = np.random.default_rng(seed)
+    dim = 2 * u.dim
+    jets = []
+    for k in range(count):
+        base = np.zeros(dim)
+        base[:dim - 2] = rng.uniform(-spread, spread, dim - 2)
+        A = rng.normal(size=(dim, dim)) * 10.0 ** rng.uniform(-1.0, 3.0)
+        H = A + A.T if k % 2 else -(A @ A.T)
+        g = rng.normal(size=dim) * 10.0 ** rng.uniform(-2.0, 1.0)
+        jets.append(QuadraticJet(base, eval_value(u, base), g, H))
+    return jets
+
+
+def assert_like_reference(u, jets, radius, samples, seed):
+    outs = [check_touch_below(u, q, radius, samples=samples, seed=seed) for q in jets]
+    assert outs == [reference_touch_below(u, q, radius, samples, seed) for q in jets]
+    return outs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_touch_below_equals_reference_on_workload_jets(seed):
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    outs = assert_like_reference(u0, workload_jets(seed), 0.1, 2000, seed)
+    assert all(out["touches"] for out in outs)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_touch_below_equals_reference_with_gradients(seed):
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    outs = assert_like_reference(u0, graded_jets(u0, seed), 0.05, 1000, seed)
+    assert not all(out["touches"] for out in outs)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_touch_below_equals_reference_pogorelov_n(seed):
+    u0 = SolutionFamily("pogorelov_n", 3, 0.0)
+    assert_like_reference(u0, graded_jets(u0, seed), 0.1, 1000, seed)
+    assert_like_reference(u0, graded_jets(u0, seed, spread=0.0), 0.1, 1000, seed)
+
+
+def steep_concave(u, pts):
+    return -1e6 * np.sum(np.asarray(pts, dtype=float) ** 2, axis=-1)
+
+
+def near_cut_jets(seed, count=60):
+    # q = -(1e6 + d) |x|^2 against -1e6 |x|^2: the ball minimum of the gap
+    # is about d r^2, and the jets' slack is larger than TOUCH_MARGIN
+    rng = np.random.default_rng(seed)
+    jets = []
+    for _ in range(count):
+        d = rng.uniform(-4e-8, 1e-8)
+        jets.append(QuadraticJet(np.zeros(4), 0.0, np.zeros(4), -2.0 * (1e6 + d) * np.eye(4)))
+    return jets
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_touch_below_near_the_cut(monkeypatch, fresh_ball, seed):
+    monkeypatch.setattr(viscosity, "eval_value", steep_concave)
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    jets = near_cut_jets(seed)
+    pts, ball_u, features = viscosity._lower_ball(u0, np.zeros(4).tobytes(), 0.1, 500, seed)
+    minima = np.array([np.min(ball_u - q(pts)) for q in jets])
+    # the exact minima fall on both sides of the cut, and the batched
+    # values cannot tell them apart
+    assert np.any(minima >= -viscosity.TOUCH_MARGIN)
+    assert np.any(minima < -viscosity.TOUCH_MARGIN)
+    _, slack = viscosity._batched_witnesses(features, -ball_u, 0.0, np.zeros((1, 4)),
+                                            jets[0].hess[None])
+    assert slack[0] > viscosity.TOUCH_MARGIN
+    outs = assert_like_reference(u0, jets, 0.1, 500, seed)
+    assert {out["touches"] for out in outs} == {True, False}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_touch_below_trusts_batched_values_only_outside_the_slack(monkeypatch, fresh_ball,
+                                                                  sign):
+    # move every batched minimum by 90% of its declared slack: the results
+    # must still be those of the reference, near the cut and away from it
+    batched = viscosity._batched_witnesses
+
+    def shifted(*args):
+        witness, slack = batched(*args)
+        return witness + sign * 0.9 * slack, slack
+
+    monkeypatch.setattr(viscosity, "_batched_witnesses", shifted)
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    assert_like_reference(u0, workload_jets(1, 100), 0.1, 1000, 1)
+    assert_like_reference(u0, graded_jets(u0, 2, 50), 0.05, 1000, 2)
+    viscosity._lower_ball.cache_clear()
+    monkeypatch.setattr(viscosity, "eval_value", steep_concave)
+    assert_like_reference(u0, near_cut_jets(3), 0.1, 500, 3)
+
+
+def test_lower_ball_slack_covers_the_jet_value():
+    # Hessian scales 1e-1 to 1e6, gradient scales 1e-2 to 10, as the search draws
+    rng = np.random.default_rng(5)
+    for kind, dim, p0 in (("pogorelov2", 2, [0.2, -0.1, 0.0, 0.0]),
+                          ("pogorelov_n", 3, [0.2, -0.1, 0.0, 0.3, 0.0, 0.0])):
+        u0 = SolutionFamily(kind, dim, 0.0)
+        p0 = np.array(p0)
+        pts, ball_u, features = viscosity._lower_ball(u0, p0.tobytes(), 0.1, 2000, 5)
+        value = eval_value(u0, p0)
+        for _ in range(200):
+            g = rng.normal(size=2 * dim) * 10.0 ** rng.uniform(-2.0, 1.0)
+            H = rng.normal(size=(2 * dim, 2 * dim)) * 10.0 ** rng.uniform(-1.0, 6.0)
+            q = QuadraticJet(p0, value, g, H + H.T)
+            top, slack = viscosity._batched_witnesses(features, -ball_u, -q.const,
+                                                      -q.grad[None], -q.hess[None])
+            assert abs(-top[0] - np.min(ball_u - q(pts))) <= slack[0]
+
+
+def test_lower_ball_is_cached_read_only(fresh_ball):
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    q = QuadraticJet(np.zeros(4), 0.0, np.zeros(4), -np.eye(4))
+    check_touch_below(u0, q, radius=0.1, samples=500, seed=3)
+    check_touch_below(u0, q, radius=0.1, samples=500, seed=3)
+    info = viscosity._lower_ball.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    arrays = viscosity._lower_ball(u0, np.zeros(4).tobytes(), 0.1, 500, 3)
+    assert [arr.shape for arr in arrays] == [(500, 4), (500,), (14, 500)]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_touch_below_needs_an_integer_seed():
+    # the ball is reused across calls, so a seed of None cannot draw a new one
+    u0 = SolutionFamily("pogorelov2", 2, 0.0)
+    q = QuadraticJet(np.zeros(4), 0.0, np.zeros(4), -np.eye(4))
+    with pytest.raises(TypeError):
+        check_touch_below(u0, q, radius=0.1, seed=None)
+    assert check_touch_below(u0, q, radius=0.1, samples=500, seed=np.int64(3)) == \
+        reference_touch_below(u0, q, 0.1, 500, 3)
 
 
 def test_search_touch_above_rejects_negative_attempts():
