@@ -5,8 +5,8 @@ builds the parser.  A setting comes from its flag, else from the JSON
 file of --config, else from its default, and is checked against its
 domain before any work; `cmalab <cmd> --help` lists the domains.
 Outputs are deterministic for a fixed config and seed and are written
-atomically (temp file + rename); wall-clock timestamps go only to a
-sidecar run.log.
+atomically (temp file + rename) with the mode the umask gives run.log;
+wall-clock timestamps go only to a sidecar run.log.
 
 Exit codes: 0 all checks pass; 1 a mathematical or library check failed,
 and failure.json names the invariant, "finite outputs" for an output
@@ -25,8 +25,8 @@ import io
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 import time
 from typing import NamedTuple
 
@@ -64,7 +64,10 @@ def _check_finite(path: str, obj, name: str = "") -> None:
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
+    # exclusive like tempfile.mkstemp, but with the mode open() gives
+    # run.log, 0666 less the umask, where mkstemp gives 0600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

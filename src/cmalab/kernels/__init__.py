@@ -28,30 +28,22 @@ interior views to the active implementation.
 
 On first import the C kernels (stencil.c) are built with the system
 compiler into a per-user cache and loaded with ctypes; see
-kernels.native.  Set CMA_LAB_FORCE_FALLBACK=1 to skip them (used by the
-benchmark and by tests that compare the two implementations).  IMPL
-names the active implementation ("c" or "numpy"); FALLBACK_REASON says
-why numpy was selected, and is None when C is active.  Callers look the
-functions up on this module at call time, so the selection holds
-everywhere.
+kernels.native.  IMPL names the active implementation ("c" or
+"numpy"); FALLBACK_REASON says why numpy was selected, and is None when
+C is active.  Callers look the functions up on this module at call
+time, so the selection holds everywhere.
 """
-
-import os
 
 import numpy as np
 
 from . import fallback, native
 
-if os.environ.get("CMA_LAB_FORCE_FALLBACK"):
+try:
+    _impl = native.load()
+    FALLBACK_REASON = None
+except native.KernelBuildError as exc:
     _impl = fallback
-    FALLBACK_REASON = "forced by CMA_LAB_FORCE_FALLBACK"
-else:
-    try:
-        _impl = native.load()
-        FALLBACK_REASON = None
-    except native.KernelBuildError as exc:
-        _impl = fallback
-        FALLBACK_REASON = str(exc)
+    FALLBACK_REASON = str(exc)
 
 IMPL = _impl.IMPL
 hessian_interior = _impl.hessian_interior

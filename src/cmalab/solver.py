@@ -25,11 +25,11 @@ Their outputs are interior arrays the solver owns.  The n >= 3 guard is
 "smallest eigenvalue > guard", checked at each node on the pivots of
 H - guard I.
 
-`newton_solve` works in one layout.  BiCGStab's vectors cover the
-interior; the matvec writes each into the interior of one zero-ring
-buffer that the solve owns and applies the operator to it, and a line
-search candidate is a copy of the iterate with the scaled step added on
-the interior.  Its work goes into one record of per-step lists, which
+`newton_solve` works in one layout: the residual and BiCGStab's vectors
+cover the interior.  The matvec writes each vector into the interior of
+one zero-ring buffer that the solve owns and applies the operator to it,
+and a line search candidate is a copy of the iterate with the scaled
+step added on the interior.  Its work goes into one record of per-step lists, which
 the result and the partial result of every failure carry.
 
 `scipy.sparse.linalg` is imported inside `newton_solve`, the only code
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import NonConverged, NotPlurisubharmonic
+from .errors import NonConverged, NonFiniteSample, NotPlurisubharmonic
 from .grid import GridDomain, GridField
 
 __all__ = ["DirichletProblem", "NewtonConfig", "WirtingerOperator",
@@ -140,14 +140,12 @@ def _checked_hessian(u: GridField, guard: float, inverse: bool = False):
     return out
 
 
-def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> GridField:
-    """Interior: log det(FD Hessian) - rhs.  Ring: u - boundary data."""
-    logdet = _checked_hessian(u, guard)
-    np.log(logdet, out=logdet)
-    out = u.values - prob.boundary.values
-    core = _interior(prob.domain.shape)
-    np.subtract(logdet, prob.rhs.values[core], out=out[core])
-    return GridField(prob.domain, out)
+def residual(u: GridField, prob: DirichletProblem, guard: float = 1e-12) -> np.ndarray:
+    """log det(FD Hessian) - rhs as a new interior array."""
+    res = _checked_hessian(u, guard)
+    np.log(res, out=res)
+    res -= prob.rhs.values[_interior(prob.domain.shape)]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -250,54 +248,27 @@ class _DstPreconditioner:
 
 def _quadratic_fit(domain: GridDomain, boundary: GridField) -> float:
     """Coefficient c of the least-squares fit c |x|^2 + affine to the ring
-    values.  The affine columns stay in the fit because they move c.
-
-    Solves the (2n+2)^2 normal equations in the coordinates t centred on
-    the box midpoint, with |t|^2 less its ring mean as the quadratic
-    column; neither change moves c.  The ring splits into 4n disjoint
-    face slabs: face (a, end) takes the interior nodes on the axes before
-    a, the end node on axis a and every node on the axes after it.  Each
-    face is a product of 1-d node sets, so its Gram entries are products
-    of 1-d moments of t, and its right-hand side contracts the face of
-    the data with the 1-d vectors t and t^2."""
+    values g.  With t = x less the box midpoint, the ring is symmetric
+    under every reflection t_a -> -t_a, so the affine columns are
+    orthogonal to q = |t|^2 less its ring mean: c = sum q g / sum q^2.
+    Both sums run over the 4n disjoint face slabs of the ring, each a
+    product of 1-d node sets (face (a, end): the interior nodes on the axes
+    before a, the end node on axis a, every node after it), as 1-d sums."""
     values = boundary.values
     d = values.ndim
-    t = [domain.axis_coords(a) - domain.center[a] for a in range(d)]
-    faces = []
-    for a in range(d):
-        for end in (slice(0, 1), slice(-1, None)):
-            sets = [x[1:-1] for x in t[:a]] + [t[a][end]] + t[a + 1:]
-            # mean moments of t, t^2, t^3, t^4 over each axis' node set
-            moments = [np.array([np.mean(x ** k) for x in sets]) for k in range(1, 5)]
-            faces.append((values[(slice(1, -1),) * a + (end,)], sets, moments))
-    sizes = np.array([face.size for face, _, _ in faces])
-    q_mean = np.dot(sizes, [m[1].sum() for _, _, m in faces]) / sizes.sum()
-    # unknowns: c, the constant, then the linear coefficient of each axis
-    gram = np.zeros((d + 2, d + 2))
-    rhs = np.zeros(d + 2)
-    for face, sets, (m1, m2, m3, m4) in faces:
-        # e: the face mean of phi phi^T, phi = (|t|^2 - q_mean, 1, t).  The
-        # axes vary independently over a face, so the variance of |t|^2 is
-        # the sum of the per-axis variances of t_a^2, and so on.
-        q = m2.sum() - q_mean   # the face mean of the quadratic column
-        e = np.empty((d + 2, d + 2))
-        e[0, 0] = np.sum(m4 - m2 * m2) + q * q
-        e[0, 1] = q
-        e[0, 2:] = m3 - m2 * m1 + q * m1
-        e[1, 1] = 1.0
-        e[1, 2:] = m1
-        e[2:, 2:] = np.outer(m1, m1)
-        e[2:, 2:][np.diag_indices(d)] = m2
-        e[1:, 0] = e[0, 1:]
-        e[2:, 1] = e[1, 2:]
-        gram += face.size * e
-        # face sums against 1, t_b and t_b^2 from its 1-d marginals
-        for b, x in enumerate(sets):
-            marginal = face.sum(axis=tuple(c for c in range(d) if c != b))
-            rhs[2 + b] += marginal @ x
-            rhs[0] += marginal @ (x * x - q_mean / d)
-        rhs[1] += marginal.sum()   # every marginal sums to the face sum
-    return float(np.linalg.solve(gram, rhs)[0])
+    t2 = [(domain.axis_coords(a) - domain.center[a]) ** 2 for a in range(d)]
+    faces = [(values[(slice(1, -1),) * a + (end,)],
+              [x[1:-1] for x in t2[:a]] + [t2[a][end]] + t2[a + 1:])
+             for a in range(d) for end in (slice(0, 1), slice(-1, None))]
+    q_mean = sum(f.size * sum(map(np.mean, sq)) for f, sq in faces) / sum(f.size for f, _ in faces)
+    num = den = 0.0
+    for face, sq in faces:
+        # the axes vary independently over a face: var |t|^2 = sum var t_a^2
+        q = sum(map(np.mean, sq)) - q_mean
+        den += face.size * (sum(map(np.var, sq)) + q * q)
+        for b, s in enumerate(sq):
+            num += face.sum(axis=tuple(c for c in range(d) if c != b)) @ (s - q_mean / d)
+    return float(num / den)
 
 
 def _poisson(domain: GridDomain, source, ring_values: np.ndarray = None) -> np.ndarray:
@@ -401,7 +372,8 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     tolerance.  A failure on the way carries the record so far with its
     `reason`: NonConverged when the inner solve fails, the
     NotPlurisubharmonic raised as its `result` when the line search finds
-    no step, with that search's halvings and rejections last.
+    no step, with that search's halvings and rejections last.  A det that
+    overflows in the initial residual raises NonFiniteSample at its node.
     """
     import scipy.sparse.linalg as spla  # on first use only: see the module docstring
     dom = prob.domain
@@ -414,7 +386,10 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
     u[core] = init.values[core]
     cur = GridField(dom, u)
     res = residual(cur, prob, cfg.psd_guard)
-    res_norm = float(np.max(np.abs(res.values)))
+    res_norm = float(np.max(np.abs(res)))
+    if not math.isfinite(res_norm):
+        bad = np.unravel_index(int(np.argmin(np.isfinite(res))), inner)
+        raise NonFiniteSample(tuple(int(i) + 1 for i in bad), float(res[bad]))
     history = [res_norm]
     record = {"iterations": 0, "final_residual": res_norm, "residual_history": history,
               "inner_iterations": [], "inner_info": [], "psolves": [], "halvings": [],
@@ -442,12 +417,12 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
         record["iterations"] += 1
         op = assemble_linearization(cur, cfg.psd_guard)
         pre = _DstPreconditioner(dom, op.mean_diagonal(), dtype=np.float32)
-        b = res.values[core].ravel()  # solve -L d = -res, i.e. A d = res
         eta = _forcing(res_norm, history[-2] if len(history) > 1 else None,
                        cfg.tol_residual)
         record["inner_iterations"].append(0)
         record["psolves"].append(0)
-        d, info = spla.bicgstab(A, b, rtol=eta, atol=0.0, M=M,
+        # solve -L d = -res, i.e. A d = res
+        d, info = spla.bicgstab(A, res.ravel(), rtol=eta, atol=0.0, M=M,
                                 maxiter=_INNER_MAXITER, callback=callback)
         # free this operator before the line search and the next assembly
         del op, pre
@@ -467,8 +442,8 @@ def newton_solve(prob: DirichletProblem, cfg: NewtonConfig = NewtonConfig(),
             except NotPlurisubharmonic:
                 rejected += 1
             else:
-                cand_norm = float(np.max(np.abs(cand_res.values)))
-                if cand_norm < res_norm:
+                cand_norm = float(np.max(np.abs(cand_res)))
+                if cand_norm < res_norm:   # false for a non-finite norm
                     accepted = (cand, cand_res, cand_norm)
                     break
             alpha *= 0.5

@@ -119,6 +119,25 @@ def test_outputs_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_outputs_take_the_umask_like_run_log(tmp_path, umask):
+    # each output is written through a temporary file and a rename, yet
+    # gets the mode open() gives run.log: JSON, CSV and failure.json alike
+    runs = {"json": (["verify", "--points", "10", "--eps", "1"], 0),
+            "csv": (["moser", "--kmax", "3"], 0),
+            "failure": (["verify", "--points", "10", "--tol", "1e-20"], 1)}   # + verify.json
+    saved = os.umask(umask)
+    try:
+        for name, (argv, code) in runs.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == code
+    finally:
+        os.umask(saved)
+    for name in runs:
+        modes = {f.name: f.stat().st_mode & 0o777 for f in (tmp_path / name).iterdir()}
+        assert len(modes) >= 2 and modes["run.log"] == 0o666 & ~umask
+        assert set(modes.values()) == {modes["run.log"]}, modes
+
+
 def test_moser_csv_product_limit(tmp_path):
     out = str(tmp_path)
     assert main(["moser", "--out", out, "--n", "2", "--a", "1.0",

@@ -15,14 +15,6 @@ def test_implementation_selected():
     assert kernels.IMPL in ("c", "numpy")
 
 
-def test_force_fallback_env():
-    code = ("import cmalab.kernels as K; print(K.IMPL)")
-    env = dict(os.environ, CMA_LAB_FORCE_FALLBACK="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
 needs_c = pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
 
 # every implementation that runs here, the numpy reference first
@@ -436,7 +428,6 @@ def test_fallback_hessian_on_quadratic():
 def _kernels_in_child(env_update):
     code = "import cmalab.kernels as K; print(K.IMPL); print(K.FALLBACK_REASON)"
     env = dict(os.environ, **env_update)
-    env.pop("CMA_LAB_FORCE_FALLBACK", None)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()

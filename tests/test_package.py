@@ -99,3 +99,48 @@ def test_cache_check_flags_unbounded_caches():
               "@functools.cache\ndef f(): pass\n"
               "g = lru_cache(maxsize=True)(len)\n")
     assert sorted(_unbounded_caches(ast.parse(source))) == [7, 9, 11, 13, 15]
+
+
+# the environment variables the package may read: the kernel cache path,
+# and the BLAS thread counts that run.log reports
+_ALLOWED_ENV = {"XDG_CACHE_HOME", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+
+
+def _environment_reads(tree):
+    """(line, name) of each read of os.environ.get(name), os.environ[name]
+    or os.getenv(name) in tree; name is None when it is not a string
+    constant."""
+    def is_os(node, attr):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                is_os(node.func, "getenv") or (isinstance(node.func, ast.Attribute)
+                                               and node.func.attr == "get"
+                                               and is_os(node.func.value, "environ"))):
+            key = node.args[0] if node.args else None
+        elif isinstance(node, ast.Subscript) and is_os(node.value, "environ"):
+            key = node.slice
+        else:
+            continue
+        name = key.value if isinstance(key, ast.Constant) and isinstance(key.value, str) else None
+        found.append((node.lineno, name))
+    return found
+
+
+def test_environment_reads_are_the_allowed_ones():
+    # a setting belongs in the CLI tables or a signature, not in an
+    # environment variable that no output records
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path in sorted((ROOT / "src/cmalab").rglob("*.py"))
+             for line, name in _environment_reads(ast.parse(path.read_text(), str(path)))
+             if name not in _ALLOWED_ENV]
+    assert found == []
+
+
+def test_environment_check_finds_every_read_form():
+    source = ("import os\nos.environ.get('A')\nos.environ['B']\nos.getenv('C', '1')\n"
+              "os.environ.get(key)\nos.path.join('D')\n")
+    assert _environment_reads(ast.parse(source)) == [(2, "A"), (3, "B"), (4, "C"), (5, None)]

@@ -10,7 +10,7 @@ import scipy.fft as sfft
 import scipy.sparse.linalg as spla
 
 from cmalab import kernels, solver
-from cmalab.errors import NonConverged, NotPlurisubharmonic
+from cmalab.errors import NonConverged, NonFiniteSample, NotPlurisubharmonic
 from cmalab.families import SolutionFamily, eval_rhs
 from cmalab.grid import GridDomain, GridField, _second_diff, sample
 from cmalab.kernels import fallback
@@ -87,7 +87,7 @@ def test_residual_squared_modulus():
     u = sq_modulus(dom)
     prob = DirichletProblem(dom, GridField(dom, np.zeros(dom.shape)), u)
     r = residual(u, prob)
-    assert np.max(np.abs(r.values)) < 1e-11
+    assert np.max(np.abs(r)) < 1e-11
 
 
 def test_residual_logdet_homogeneity():
@@ -97,15 +97,15 @@ def test_residual_logdet_homogeneity():
     scaled = GridField(dom, c * u.values)
     prob = DirichletProblem(dom, GridField(dom, np.zeros(dom.shape)), scaled)
     r = residual(scaled, prob)
-    core = (slice(1, -1),) * 4
-    assert np.allclose(r.values[core], 2.0 * np.log(c))
+    assert r.shape == (7,) * 4
+    assert np.allclose(r, 2.0 * np.log(c))
 
 
 def test_residual_manufactured_second_order():
     errs = []
     for points in (9, 17):
         prob, oracle = manufactured(points)
-        errs.append(np.max(np.abs(residual(oracle, prob).values)))
+        errs.append(np.max(np.abs(residual(oracle, prob))))
     assert 3.0 < errs[0] / errs[1] < 5.0
 
 
@@ -225,11 +225,11 @@ def test_n3_paths_call_no_lapack(monkeypatch):
     prob, oracle = manufactured(7, n=3)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     monkeypatch.setattr(np.linalg, "inv", forbidden)
-    assert np.all(np.isfinite(residual(oracle, prob).values))
+    assert np.all(np.isfinite(residual(oracle, prob)))
     op = assemble_linearization(oracle)
     assert len(op.coef) == 9
     init = default_init(prob)
-    assert np.all(np.isfinite(residual(init, prob).values))
+    assert np.all(np.isfinite(residual(init, prob)))
 
 
 def test_problem_validation():
@@ -301,8 +301,8 @@ def test_linearization_consistency(n, points):
     r_plus = residual(GridField(dom, oracle.values + t * v), prob)
     r_minus = residual(GridField(dom, oracle.values - t * v), prob)
     op = assemble_linearization(oracle)
-    gap = (r_plus.values - r_minus.values) / (2 * t) - op.apply(v)
-    assert np.max(np.abs(gap[core])) < 1e-5
+    gap = (r_plus - r_minus) / (2 * t) - op.apply(v)[core]
+    assert np.max(np.abs(gap)) < 1e-5
 
 
 def test_n3_apply_has_a_zero_ring_and_the_interior_kernel():
@@ -351,34 +351,25 @@ def test_newton_generic_dimension_path():
     assert np.max(np.abs(out["solution"].values - oracle.values)) < 0.05
 
 
-_FALLBACK_SOLVE = """
-import sys
-import numpy as np
-sys.path.insert(0, {tests!r})
-from cmalab import kernels
-from cmalab.solver import NewtonConfig, newton_solve
-from test_solver import manufactured
-assert kernels.IMPL == "numpy", kernels.IMPL
-out = newton_solve(manufactured(7, n=3)[0], NewtonConfig(tol_residual=1e-9, max_iters=15))
-np.save({path!r}, out["solution"].values)
-print(out["iterations"])
-"""
-
-
 @pytest.mark.skipif(kernels.IMPL == "numpy", reason="C kernels not built")
-def test_newton_n3_fallback_parity(tmp_path):
-    # the numpy kernels, forced in a child process, take the same Newton path
+def test_newton_n3_fallback_parity(monkeypatch):
+    # the numpy kernels, put in place of the C ones, take the same Newton path
     prob, _ = manufactured(7, n=3)
-    out = newton_solve(prob, NewtonConfig(tol_residual=1e-9, max_iters=15))
-    path = str(tmp_path / "numpy.npy")
-    code = _FALLBACK_SOLVE.format(tests=os.path.dirname(os.path.abspath(__file__)),
-                                  path=path)
-    env = dict(os.environ, CMA_LAB_FORCE_FALLBACK="1")
-    child = subprocess.run([sys.executable, "-c", code], env=env,
-                           capture_output=True, text=True, timeout=300)
-    assert child.returncode == 0, child.stderr
-    assert int(child.stdout.strip()) == out["iterations"]
-    assert np.max(np.abs(np.load(path) - out["solution"].values)) < 1e-12
+    cfg = NewtonConfig(tol_residual=1e-9, max_iters=15)
+    out = newton_solve(prob, cfg)
+
+    def no_call(*args):
+        raise AssertionError("C kernel called")
+
+    native = kernels._impl
+    for name in ("_hessian", "_apply", "_det", "_inverse"):
+        monkeypatch.setattr(native, name, no_call)
+    monkeypatch.setattr(kernels, "_impl", fallback)
+    for name in ("hessian_interior", "apply_interior", "det_interior", "inverse_interior"):
+        monkeypatch.setattr(kernels, name, getattr(fallback, name))
+    ref = newton_solve(prob, cfg)
+    assert ref["iterations"] == out["iterations"]
+    assert np.max(np.abs(ref["solution"].values - out["solution"].values)) < 1e-12
 
 
 def test_newton_near_degenerate_telemetry():
@@ -409,7 +400,7 @@ def test_default_init_is_psh():
     prob, _ = manufactured(9)
     init = default_init(prob)
     r = residual(init, prob)  # raises if the init is not plurisubharmonic
-    assert np.all(np.isfinite(r.values))
+    assert np.all(np.isfinite(r))
 
 
 def ring_mask(shape):
@@ -418,11 +409,16 @@ def ring_mask(shape):
     return ring
 
 
-def full_quadratic_fit(dom, g):
+def full_quadratic_fit(dom, g, affine=True):
     """Least-squares (c, constant, linear coefficients) of c |x|^2 + affine
-    to the ring values of g."""
+    to the ring values of g; without `affine`, the coefficient c alone of
+    the fit by |x - midpoint|^2 less its ring mean."""
     coords = dom.node_coords_flat()[ring_mask(dom.shape).ravel()]
-    A = np.column_stack([np.sum(coords ** 2, axis=1), np.ones(len(coords)), coords])
+    if affine:
+        A = np.column_stack([np.sum(coords ** 2, axis=1), np.ones(len(coords)), coords])
+    else:
+        q = np.sum((coords - dom.center) ** 2, axis=1)
+        A = (q - q.mean())[:, None]
     return np.linalg.lstsq(A, g[ring_mask(dom.shape)], rcond=None)[0]
 
 
@@ -524,16 +520,79 @@ def test_unraised_default_init_is_quadratic_plus_lift():
         assert np.max(np.abs(init.values - ref)) < 1e-13
         assert _quadratic_fit(prob.domain, prob.boundary) == pytest.approx(
             full_quadratic_fit(prob.domain, prob.boundary.values)[0], rel=1e-14)
+    # ring data without the reflection symmetry, on an off-centre box that
+    # is not a cube and on a 7^6 one: the affine columns do not move c
+    for dom in (GridDomain([0.3, -0.7, 1.1, 0.2], [1.0, 0.8, 1.3, 0.6], (7, 9, 11, 13)),
+                box(7, n=3)):
+        rng = np.random.default_rng(dom.center.size)
+        coords = dom.node_coords_flat()
+        affine = 0.4 + coords @ rng.normal(size=dom.center.size)
+        g = GridField(dom, (affine + rng.normal(size=dom.num_nodes)).reshape(dom.shape))
+        c = full_quadratic_fit(dom, g.values)[0]
+        assert _quadratic_fit(dom, g) == pytest.approx(c, rel=1e-14)
+        assert full_quadratic_fit(dom, g.values, affine=False)[0] == pytest.approx(c, rel=1e-13)
 
 
-def test_residual_ring_rows_are_u_minus_g():
-    prob, oracle = manufactured(9)
-    rng = np.random.default_rng(5)
-    ring = ring_mask(prob.domain.shape)
-    u = GridField(prob.domain, oracle.values + 1e-3 * ring * rng.normal(size=ring.shape))
-    r = residual(u, prob).values
-    assert r[ring].tobytes() == (u.values - prob.boundary.values)[ring].tobytes()
-    assert np.any(r[ring] != 0.0)
+def former_residual(u, prob, guard=1e-12):
+    """The residual as a full grid, as it once was: log det - rhs on the
+    interior, u - g on the ring."""
+    logdet = solver._checked_hessian(u, guard)
+    np.log(logdet, out=logdet)
+    out = u.values - prob.boundary.values
+    core = (slice(1, -1),) * u.values.ndim
+    np.subtract(logdet, prob.rhs.values[core], out=out[core])
+    return GridField(prob.domain, out)
+
+
+@pytest.mark.parametrize("points, n", [(9, 2), (7, 3)])
+def test_residual_is_the_interior_of_the_former_formula(points, n):
+    prob, _ = manufactured(points, n=n)
+    u = default_init(prob)
+    r = residual(u, prob)
+    core = (slice(1, -1),) * (2 * n)
+    assert r.shape == (points - 2,) * (2 * n) and r.flags.c_contiguous
+    assert r.tobytes() == former_residual(u, prob).values[core].tobytes()
+
+
+def overflowing_dets(monkeypatch, calls, nodes):
+    """Stub `_checked_hessian` so that the det calls numbered in `calls`
+    (1 is the first) return inf at each interior node of `nodes`."""
+    real = solver._checked_hessian
+    count = [0]
+
+    def stub(u, guard, inverse=False):
+        out = real(u, guard, inverse)
+        if not inverse:
+            count[0] += 1
+            if count[0] in calls:
+                for node in nodes:
+                    out[node] = np.inf
+        return out
+
+    monkeypatch.setattr(solver, "_checked_hessian", stub)
+
+
+def test_non_finite_initial_residual_names_its_node(monkeypatch):
+    prob, _ = manufactured(9)
+    init = default_init(prob)
+    overflowing_dets(monkeypatch, {1}, [(4, 5, 6, 2), (1, 2, 3, 4)])
+    with pytest.raises(NonFiniteSample) as exc:
+        newton_solve(prob, NewtonConfig(tol_residual=1e-10), init=init)
+    # the first in row-major order, in the indices of the full grid
+    assert exc.value.node == (2, 3, 4, 5) and exc.value.value == np.inf
+
+
+def test_overflowing_candidate_is_a_halving(monkeypatch):
+    # det call 1 is the initial residual, 2 the first candidate of the
+    # first step that passes the guard: its overflow is one more halving
+    prob, _ = manufactured(9)
+    init = default_init(prob)
+    plain = newton_solve(prob, NewtonConfig(tol_residual=1e-10), init=init)
+    overflowing_dets(monkeypatch, {2}, [(3, 3, 3, 3)])
+    out = newton_solve(prob, NewtonConfig(tol_residual=1e-10), init=init)
+    assert out["final_residual"] <= 1e-10
+    assert out["halvings"][0] == plain["halvings"][0] + 1
+    assert out["psh_rejects"][0] == plain["psh_rejects"][0]
 
 
 def test_default_init_and_solve_build_no_coordinate_array(monkeypatch, tmp_path):
